@@ -7,7 +7,7 @@
 //
 //	grca-load -addr http://localhost:8080 -bundle /tmp/corpus \
 //	  [-events 200000] [-batch 500] [-c 4] [-wire json|binary] \
-//	  [-read-from http://replica:8081] [-o BENCH_SERVE.json]
+//	  [-read-from http://replica:8081] [-step 1ms] [-o BENCH_SERVE.json]
 //
 // With -read-from, a reader loops the probe path at the replica while
 // the write stream runs, and the report carries both endpoints' read
@@ -55,6 +55,7 @@ func main() {
 	readFrom := flag.String("read-from", "",
 		"base URL of a read replica: the -probe path is hammered there while the write stream runs, "+
 			"and both endpoints' read latency percentiles land in the report (default probe: /v1/breakdown?app=bgpflap)")
+	step := flag.Duration("step", time.Millisecond, "time between consecutive streamed events")
 	flag.Parse()
 
 	if *wireMode != "json" && *wireMode != "binary" {
@@ -64,13 +65,13 @@ func main() {
 	if *readFrom != "" && *probe == "" {
 		*probe = "/v1/breakdown?app=bgpflap"
 	}
-	if err := run(*addr, *bundleDir, *events, *batch, *workers, *out, *probe, *probes, *wireMode == "binary", *readFrom); err != nil {
+	if err := run(*addr, *bundleDir, *events, *batch, *workers, *out, *probe, *probes, *wireMode == "binary", *readFrom, *step); err != nil {
 		fmt.Fprintf(os.Stderr, "grca-load: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, bundleDir string, events, batchSize, workers int, out, probe string, probes int, binary bool, readFrom string) error {
+func run(addr, bundleDir string, events, batchSize, workers int, out, probe string, probes int, binary bool, readFrom string, step time.Duration) error {
 	contentType := "application/json"
 	if binary {
 		contentType = wire.ContentType
@@ -220,7 +221,7 @@ func run(addr, bundleDir string, events, batchSize, workers int, out, probe stri
 		if binary {
 			ins := make([]event.Instance, n)
 			for i := range ins {
-				at := start.Add(time.Duration(produced+i) * time.Millisecond)
+				at := start.Add(time.Duration(produced+i) * step)
 				ins[i] = event.Instance{
 					Name: event.InterfaceUp, Start: at, End: at,
 					Loc: locus.At(ifaceType, names[(produced+i)%64]),
@@ -230,7 +231,7 @@ func run(addr, bundleDir string, events, batchSize, workers int, out, probe stri
 		} else {
 			evs := make([]jsonEvent, n)
 			for i := range evs {
-				at := start.Add(time.Duration(produced+i) * time.Millisecond)
+				at := start.Add(time.Duration(produced+i) * step)
 				evs[i].Name = event.InterfaceUp
 				evs[i].Start, evs[i].End = at, at
 				evs[i].Loc.Type = "interface"

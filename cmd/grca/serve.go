@@ -30,8 +30,8 @@ func runServe(args []string) error {
 	bundleDir := fs.String("bundle", "", "dataset bundle directory supplying configs + manifest (required)")
 	fsync := fs.String("fsync", "batch", "WAL durability policy: batch (sync per commit) or interval")
 	fsyncEvery := fs.Duration("fsync-interval", 200*time.Millisecond, "background sync period with -fsync=interval")
-	snapshotEvery := fs.Int("snapshot-every", 50000, "snapshot the store every N WAL records (0 = only on shutdown/eviction)")
-	retention := fs.Duration("retention", 0, "evict events older than this behind the stream head (0 = keep everything)")
+	snapshotEvery := fs.Int("snapshot-every", 50000, "snapshot the store every N WAL records (0 = only on shutdown)")
+	retention := fs.Duration("retention", 0, "evict events that ended this long before the latest event start, O(evicted) per sweep (0 = keep everything)")
 	shards := fs.Int("shards", 1, "store/WAL shard count: independent commit lanes the ingest path parallelizes across (fixed at data-dir creation)")
 	maxInflight := fs.Int("max-inflight", 64, "per-shard ingest queue depth; beyond it clients get 429")
 	timeout := fs.Duration("request-timeout", 60*time.Second, "per-request applier wait bound")

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -441,6 +443,93 @@ func TestServeJournalMergeOrder(t *testing.T) {
 	}
 	if shards[0] != 0 || shards[1] != 1 || shards[2] != 0 {
 		t.Fatalf("owner shards = %v, want [0 1 0]", shards)
+	}
+}
+
+// TestServeJournalBudgetedMerge: with a per-pass read budget of one
+// frame, a shard whose read stopped short still gates the merge even
+// though its watermark is sealed past everything — so the stream is the
+// exact global seq order for every shard count, an oversized frame
+// included.
+func TestServeJournalBudgetedMerge(t *testing.T) {
+	for shards := 2; shards <= 4; shards++ {
+		dir := t.TempDir()
+		paths := make([]string, shards)
+		journals := make([]*wal.Journal, shards)
+		for i := range paths {
+			paths[i] = filepath.Join(dir, fmt.Sprintf("j%d.log", i))
+			j, err := wal.OpenJournal(paths[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			journals[i] = j
+		}
+		rng := rand.New(rand.NewSource(int64(shards)))
+		const n = 60
+		owner := make([]int, n)
+		bodies := make([]string, n)
+		for seq := 0; seq < n; seq++ {
+			owner[seq] = rng.Intn(shards)
+			bodies[seq] = fmt.Sprintf("body-%d", seq)
+			if seq == 17 {
+				bodies[seq] = strings.Repeat("x", tailBuf+1000)
+			}
+			rec := appendUvarintTest(nil, seq)
+			if err := journals[owner[seq]].Append(append(rec, bodies[seq]...)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, j := range journals {
+			j.Close()
+		}
+		sealed := make([]int, shards)
+		for i := range sealed {
+			sealed[i] = n - 1
+		}
+		src := NewSource(SourceConfig{
+			BootID: "boot-b", Shards: shards,
+			JournalPath: func(i int) string { return paths[i] },
+			WALDir:      func(i int) string { return dir },
+			Sealed:      func() []int { return append([]int(nil), sealed...) },
+			WALFrontier: func(int) int { return 0 },
+			Registry:    NewRegistry(shards, time.Minute),
+			Poll:        2 * time.Millisecond,
+		})
+		src.budget = 1 // one frame per shard per pass
+		w := &collectWriter{}
+		stop := make(chan struct{})
+		done := make(chan error, 1)
+		go func() { done <- src.ServeJournal(w, nil, "t", -1, stop) }()
+		recs := func() []Msg {
+			var out []Msg
+			for _, m := range decodeStream(t, w.bytes()) {
+				if m.Type == MsgJournalRec {
+					out = append(out, m)
+				}
+			}
+			return out
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for len(recs()) < n && time.Now().Before(deadline) {
+			time.Sleep(2 * time.Millisecond)
+		}
+		close(stop)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		got := recs()
+		if len(got) != n {
+			t.Fatalf("shards=%d: streamed %d records, want %d", shards, len(got), n)
+		}
+		for i, m := range got {
+			seq, err := JournalSeq(m.Rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq != i || m.Shard != owner[i] || !strings.HasSuffix(string(m.Rec), bodies[i]) {
+				t.Fatalf("shards=%d: record %d is seq %d from shard %d, want seq %d from shard %d", shards, i, seq, m.Shard, i, owner[i])
+			}
+		}
 	}
 }
 

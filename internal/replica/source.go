@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -44,6 +45,11 @@ type SourceConfig struct {
 	Heartbeat time.Duration
 }
 
+// journalBudget caps the payload bytes one merge pass reads from each
+// shard journal, bounding what a catching-up follower makes the primary
+// hold in memory.
+const journalBudget = 1 << 20
+
 func (c *SourceConfig) defaults() {
 	if c.Poll <= 0 {
 		c.Poll = 50 * time.Millisecond
@@ -59,13 +65,14 @@ func (c *SourceConfig) defaults() {
 // watermark to emit the merged journal in a total order no later append
 // can contradict.
 type Source struct {
-	cfg SourceConfig
+	cfg    SourceConfig
+	budget int // per-shard journal bytes per merge pass
 }
 
 // NewSource returns a source over cfg.
 func NewSource(cfg SourceConfig) *Source {
 	cfg.defaults()
-	return &Source{cfg: cfg}
+	return &Source{cfg: cfg, budget: journalBudget}
 }
 
 // BootID returns the primary incarnation this source streams for.
@@ -107,59 +114,111 @@ func (s *Source) heartbeat(b []byte) []byte {
 	return AppendHeartbeat(b, minSealed, s.JournalSizes(), s.WALFrontiers())
 }
 
-// fileTail incrementally reads one append-only framed file, carrying a
-// torn tail (a frame still being written) across fills.
+// fileTail incrementally reads one append-only framed file through one
+// reused buffer, carrying a torn tail (a frame still being written) at
+// the buffer's front across fills.
 type fileTail struct {
-	path  string
-	f     *os.File
-	off   int64 // next read offset
-	carry []byte
+	path string
+	f    *os.File
+	off  int64  // next read offset
+	buf  []byte // read buffer; buf[:n] is the carried torn frame
+	n    int
 }
 
-// fill reads everything currently readable and pushes each complete
-// frame's payload to push. It returns whether any frame was delivered.
-func (t *fileTail) fill(push func(payload []byte) error) (bool, error) {
+// tailBuf is a tail's read buffer size. A frame larger than it grows the
+// buffer for that frame only.
+const tailBuf = 256 << 10
+
+// fill reads what is currently readable and pushes each complete frame's
+// payload to push; a payload aliases the tail's buffer and is valid only
+// during the call. A positive budget stops the pass once that many
+// payload bytes were delivered (reads go in chunks of budget bytes, or
+// of the rest of a frame whose header is in), so a long backlog is
+// consumed over several passes. It reports
+// whether any frame was delivered and whether the pass reached the end
+// of the file.
+func (t *fileTail) fill(budget int, push func(payload []byte) error) (progress, eof bool, err error) {
 	if t.f == nil {
 		f, err := os.Open(t.path)
 		if os.IsNotExist(err) {
-			return false, nil
+			return false, true, nil
 		}
 		if err != nil {
-			return false, err
+			return false, false, err
 		}
 		t.f = f
 	}
-	progress := false
-	buf := make([]byte, 1<<18)
-	for {
-		n, err := t.f.ReadAt(buf, t.off)
-		if n > 0 {
-			t.off += int64(n)
-			t.carry = append(t.carry, buf[:n]...)
-			for {
-				payload, rest, ok := wal.ReadFrame(t.carry)
-				if !ok {
-					break
-				}
-				if err := push(payload); err != nil {
-					return progress, err
-				}
-				progress = true
-				t.carry = rest
-			}
-			// Keep the torn remainder without pinning the old backing array.
-			if len(t.carry) > 0 {
-				t.carry = append([]byte(nil), t.carry...)
-			} else {
-				t.carry = nil
+	if t.buf == nil {
+		t.buf = make([]byte, tailBuf)
+	}
+	defer t.shrink()
+	delivered := 0
+	for budget <= 0 || delivered < budget {
+		if t.n == len(t.buf) {
+			if err := t.grow(); err != nil {
+				return progress, false, err
 			}
 		}
-		if err == io.EOF {
-			return progress, nil
+		end := len(t.buf)
+		if budget > 0 {
+			// Read budget bytes, or at least the rest of a carried frame
+			// whose header is in.
+			want := budget
+			if t.n >= wal.FrameHeader {
+				want = max(want, t.frameLen()-t.n)
+			}
+			end = min(end, t.n+want)
 		}
-		if err != nil {
-			return progress, err
+		n, rerr := t.f.ReadAt(t.buf[t.n:end], t.off)
+		t.off += int64(n)
+		rest := t.buf[:t.n+n]
+		for {
+			payload, r2, ok := wal.ReadFrame(rest)
+			if !ok {
+				break
+			}
+			if err := push(payload); err != nil {
+				return progress, false, err
+			}
+			progress = true
+			delivered += len(payload)
+			rest = r2
 		}
+		t.n = copy(t.buf, rest)
+		if rerr == io.EOF {
+			return progress, true, nil
+		}
+		if rerr != nil {
+			return progress, false, rerr
+		}
+	}
+	return progress, false, nil
+}
+
+// grow makes room for the carried frame when it fills the buffer: the
+// frame's length header says how large it will be.
+func (t *fileTail) grow() error {
+	need := t.frameLen()
+	if need <= len(t.buf) || need > wal.FrameHeader+wal.MaxRecord {
+		return fmt.Errorf("replica: %s: corrupt frame at offset %d", t.path, t.off-int64(t.n))
+	}
+	nb := make([]byte, need)
+	copy(nb, t.buf[:t.n])
+	t.buf = nb
+	return nil
+}
+
+// frameLen is the framed size of the carried frame, from its header.
+func (t *fileTail) frameLen() int {
+	return wal.FrameHeader + int(binary.LittleEndian.Uint32(t.buf[:4]))
+}
+
+// shrink returns to the standard buffer once an oversized frame is gone.
+func (t *fileTail) shrink() {
+	if len(t.buf) > tailBuf && t.n <= tailBuf {
+		nb := make([]byte, tailBuf)
+		copy(nb, t.buf[:t.n])
+		t.buf = nb
 	}
 }
 
@@ -215,6 +274,8 @@ func (s *Source) ServeJournal(w io.Writer, flush func(), followerID string, from
 
 	tails := make([]*fileTail, s.cfg.Shards)
 	queues := make([][]jrec, s.cfg.Shards)
+	// drained[i]: shard i's last pass read to the end of its journal.
+	drained := make([]bool, s.cfg.Shards)
 	for i := range tails {
 		tails[i] = &fileTail{path: s.cfg.JournalPath(i)}
 		defer tails[i].close()
@@ -231,14 +292,16 @@ func (s *Source) ServeJournal(w io.Writer, flush func(), followerID string, from
 		// run ahead and the resume skip below would then drop them.
 		sealed := s.cfg.Sealed()
 		for i := range tails {
-			if _, err := tails[i].fill(func(payload []byte) error {
+			var err error
+			_, drained[i], err = tails[i].fill(s.budget, func(payload []byte) error {
 				seq, err := JournalSeq(payload)
 				if err != nil {
 					return fmt.Errorf("replica: shard %d journal: %v", i, err)
 				}
 				queues[i] = append(queues[i], jrec{seq, append([]byte(nil), payload...)})
 				return nil
-			}); err != nil {
+			})
+			if err != nil {
 				conn.buf = AppendEOF(conn.buf, err.Error())
 				conn.push() //nolint:errcheck // stream is ending either way
 				return err
@@ -247,7 +310,9 @@ func (s *Source) ServeJournal(w io.Writer, flush func(), followerID string, from
 		// Emit every record whose order no future append can contradict: a
 		// queued record with sequence s goes out once each other shard
 		// either shows a queued record (necessarily later — per-shard
-		// sequences ascend) or is sealed at or past s.
+		// sequences ascend) or was read to its end and is sealed at or
+		// past s. A shard whose budgeted read stopped short may hold
+		// unread records below its watermark, so it gates until drained.
 		emitted := false
 		for {
 			pick := -1
@@ -262,7 +327,7 @@ func (s *Source) ServeJournal(w io.Writer, flush func(), followerID string, from
 			seq := queues[pick][0].seq
 			ready := true
 			for j := range queues {
-				if j != pick && len(queues[j]) == 0 && sealed[j] < seq {
+				if j != pick && len(queues[j]) == 0 && (!drained[j] || sealed[j] < seq) {
 					ready = false
 					break
 				}
@@ -293,6 +358,9 @@ func (s *Source) ServeJournal(w io.Writer, flush func(), followerID string, from
 			lastBeat = obs.Now()
 			continue // drain hot without sleeping
 		}
+		if !allTrue(drained) {
+			continue // a budgeted read left a backlog: keep reading
+		}
 		if obs.Since(lastBeat) >= s.cfg.Heartbeat {
 			conn.buf = s.heartbeat(conn.buf)
 			if err := conn.push(); err != nil {
@@ -308,6 +376,15 @@ func (s *Source) ServeJournal(w io.Writer, flush func(), followerID string, from
 		case <-time.After(s.cfg.Poll):
 		}
 	}
+}
+
+func allTrue(bs []bool) bool {
+	for _, b := range bs {
+		if !b {
+			return false
+		}
+	}
+	return true
 }
 
 // ServeWAL streams one shard's event WAL to a follower from record ID
@@ -487,7 +564,7 @@ func (w *walSession) step() (bool, error) {
 		ok, err := w.openSegmentFor()
 		return ok, err
 	}
-	progress, err := w.tail.fill(func(payload []byte) error {
+	progress, _, err := w.tail.fill(0, func(payload []byte) error {
 		id, err := wal.RecordID(payload)
 		if err != nil {
 			return fmt.Errorf("replica: shard %d segment %s: %v", w.shard, w.tail.path, err)
@@ -513,7 +590,7 @@ func (w *walSession) step() (bool, error) {
 	// No new bytes. If rotation moved on, hand off — but only once the
 	// carry is empty: a torn frame must complete in place first, and a
 	// torn frame in a rotated-away (immutable) segment is corruption.
-	if len(w.tail.carry) == 0 {
+	if w.tail.n == 0 {
 		ok, err := w.advanceSegment()
 		return ok, err
 	}

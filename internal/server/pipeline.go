@@ -195,9 +195,11 @@ type Config struct {
 	FsyncInterval time.Duration
 	// SnapshotEvery auto-snapshots a shard after that many WAL records.
 	SnapshotEvery int
-	// Retention, when positive, evicts events older than this behind each
-	// shard's moving window; eviction triggers a snapshot so compaction
-	// keeps disk bounded too.
+	// Retention, when positive, evicts events that ended more than this
+	// (up to 1.25× by quantum) before the latest event Start in their
+	// shard. Eviction costs O(evicted) and never snapshots: snapshots come
+	// from SnapshotEvery and shutdown only, which is what bounds the data
+	// directory.
 	Retention time.Duration
 	// MaxInflight bounds each shard's ingest queue (default 64 batches);
 	// when an involved shard's queue is full, ingest answers 429.
@@ -553,16 +555,6 @@ func Open(cfg Config) (*Server, error) {
 	s.roll.SeedEvents(st)
 	st.OnAppend(s.roll.ObserveEvent)
 	st.OnEvict(s.roll.EvictEvents)
-	for i := range shards {
-		l := shards[i].log
-		mems[i].OnEvict(func([]*event.Instance, time.Time) {
-			// Runs on that shard's applier goroutine (its only writer):
-			// evicting the shard is the moment to snapshot, so segment
-			// compaction keeps disk bounded the same way retention bounds
-			// memory.
-			l.Snapshot() //nolint:errcheck // sticky in the log
-		})
-	}
 	if rep.finalized {
 		if err := s.installServing(true); err != nil {
 			return nil, err

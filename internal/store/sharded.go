@@ -348,10 +348,11 @@ func (s *Sharded) OnEvict(fn func(evicted []*event.Instance, cutoff time.Time)) 
 }
 
 // SetRetention bounds every shard's look-back window. Each shard evicts
-// by its own span, which is conservative relative to a single store: a
-// shard whose latest End lags the global maximum keeps slightly more
-// history, and nothing inside the global retention window is ever
-// evicted.
+// by its own head (latest live Start), which is conservative relative to
+// a single store: a shard whose head lags the global one keeps slightly
+// more history, and nothing inside the global retention window is ever
+// evicted. Within one quantum of the global head, a shard evicts exactly
+// what a single store would.
 func (s *Sharded) SetRetention(d time.Duration) {
 	for _, sh := range s.shards {
 		sh.SetRetention(d)

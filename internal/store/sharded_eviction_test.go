@@ -28,8 +28,8 @@ func evictionStream(n int) []event.Instance {
 
 // TestShardedEvictionRetentionParity pins the sharded store's retention
 // semantics against the single store's. Each shard auto-evicts by its
-// own local span with its own amortization phase, so the two stores may
-// transiently hold different amounts of already-expired slack — but
+// own local head (latest live Start), so the two stores may hold
+// different amounts of already-expired slack — but
 // neither may ever drop an event still inside the retention window of
 // the global head (every sweep's cutoff is its local head minus the
 // window, and no local head is ahead of the global one). After an

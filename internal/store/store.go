@@ -31,14 +31,17 @@ var (
 	mQueryResults  = obs.GetHistogram("store.query.results", obs.SizeBuckets)
 	mLazyResorts   = obs.GetCounter("store.lazy.resorts")
 	mQueryScanSkip = obs.GetCounter("store.query.scanned.nonoverlap")
-	mEvicted       = obs.GetCounter("store.evicted")
-	mEvictions     = obs.GetCounter("store.evictions")
 )
 
 type nameIndex struct {
 	instances []*event.Instance // sorted by Start once clean
 	maxDur    time.Duration
 	dirty     bool
+	// minStart/maxStart bound the index's Starts exactly, so Span and the
+	// retention head are recomputed from the name indexes after an
+	// eviction instead of from a scan of every instance.
+	minStart, maxStart time.Time
+	marked             bool // scratch: touched by the running eviction
 }
 
 // Memory is the single-lock in-memory event store — one shard of the
@@ -61,12 +64,18 @@ type Memory struct {
 	// first/last maintain the store-wide time span incrementally so Span
 	// is O(1) instead of a full scan under the read lock.
 	first, last time.Time
+	// head is the latest Start of any live instance: the retention
+	// window's anchor (see retention.go).
+	head time.Time
 
-	// retention, when positive, bounds the store's look-back window:
-	// once the span exceeds retention (plus a 25% slack so eviction runs
-	// in amortized batches rather than per insert), instances whose End
-	// falls before last−retention are evicted.
+	// retention, when positive, bounds the store's look-back window and
+	// buckets holds the End-keyed eviction index that makes each sweep
+	// cost O(evicted). Both are nil/zero with retention off.
 	retention time.Duration
+	buckets   *endBuckets
+	// gone collects instances evicted on arrival during the current
+	// write; endWriteLocked hands them to the OnEvict hooks.
+	gone []*event.Instance
 
 	// onAppend hooks are invoked for every stored instance, under the
 	// write lock, in registration order; they must be fast and must not
@@ -92,27 +101,10 @@ func (s *Memory) OnAppend(fn func(*event.Instance)) { s.onAppend = append(s.onAp
 
 // OnEvict registers fn to run after each retention eviction, outside the
 // store lock, with the evicted instances and the cutoff applied. Hooks
-// accumulate and run in registration order. Snapshot/compaction
-// coordination and rollup decrements hang off this hook. Register hooks
-// before concurrent use.
+// accumulate and run in registration order. Rollup decrements hang off
+// this hook. Register hooks before concurrent use.
 func (s *Memory) OnEvict(fn func(evicted []*event.Instance, cutoff time.Time)) {
 	s.onEvict = append(s.onEvict, fn)
-}
-
-// SetRetention bounds the store's look-back window: instances whose End
-// falls more than d before the latest stored End are evicted, amortized
-// over inserts. Zero disables eviction.
-func (s *Memory) SetRetention(d time.Duration) {
-	s.mu.Lock()
-	s.retention = d
-	s.mu.Unlock()
-}
-
-// Retention returns the configured look-back window (zero = unbounded).
-func (s *Memory) Retention() time.Duration {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.retention
 }
 
 // Add inserts a copy of in, assigns it a unique ID, and returns a pointer
@@ -120,14 +112,9 @@ func (s *Memory) Retention() time.Duration {
 func (s *Memory) Add(in event.Instance) *event.Instance {
 	s.mu.Lock()
 	stored := s.addLocked(in)
-	gone, cutoff := s.maybeEvictLocked()
-	cbs := s.onEvict
+	ev := s.endWriteLocked()
 	s.mu.Unlock()
-	if len(gone) > 0 {
-		for _, cb := range cbs {
-			cb(gone, cutoff)
-		}
-	}
+	ev.notify()
 	return stored
 }
 
@@ -146,92 +133,26 @@ func (s *Memory) addLocked(in event.Instance) *event.Instance {
 func (s *Memory) Put(in event.Instance) (*event.Instance, error) {
 	s.mu.Lock()
 	stored, err := s.putLocked(in)
-	if err != nil {
-		s.mu.Unlock()
-		return nil, err
-	}
-	gone, cutoff := s.maybeEvictLocked()
-	cbs := s.onEvict
+	ev := s.endWriteLocked()
 	s.mu.Unlock()
-	if len(gone) > 0 {
-		for _, cb := range cbs {
-			cb(gone, cutoff)
-		}
-	}
-	return stored, nil
+	ev.notify()
+	return stored, err
 }
 
 // PutAll inserts every instance at its pre-assigned ID, in order, under a
 // single lock acquisition. It stops at the first bad ID.
 func (s *Memory) PutAll(ins []event.Instance) error {
 	s.mu.Lock()
+	var err error
 	for _, in := range ins {
-		if _, err := s.putLocked(in); err != nil {
-			s.mu.Unlock()
-			return err
+		if _, err = s.putLocked(in); err != nil {
+			break
 		}
 	}
-	gone, cutoff := s.maybeEvictLocked()
-	cbs := s.onEvict
+	ev := s.endWriteLocked()
 	s.mu.Unlock()
-	if len(gone) > 0 {
-		for _, cb := range cbs {
-			cb(gone, cutoff)
-		}
-	}
-	return nil
-}
-
-func (s *Memory) putLocked(in event.Instance) (*event.Instance, error) {
-	mAdds.Inc()
-	next := s.base + len(s.byID)
-	stored := &in
-	switch {
-	case len(s.byID) == 0 && in.ID >= next:
-		// Empty (or fully trimmed) store: jump the base forward so a
-		// shard whose first global ID is large doesn't allocate a nil
-		// prefix.
-		s.base = in.ID
-		s.byID = append(s.byID, stored)
-	case in.ID >= next:
-		// Forward gap: IDs in between belong to other shards; leave
-		// them as unassigned (tombstone-equivalent) slots.
-		for next < in.ID {
-			s.byID = append(s.byID, nil)
-			next++
-		}
-		s.byID = append(s.byID, stored)
-	case in.ID >= s.base:
-		if s.byID[in.ID-s.base] != nil {
-			return nil, fmt.Errorf("store: Put reuses occupied ID %d", in.ID)
-		}
-		s.byID[in.ID-s.base] = stored
-	default:
-		return nil, fmt.Errorf("store: Put ID %d below store base %d", in.ID, s.base)
-	}
-	s.live++
-	idx := s.byName[in.Name]
-	if idx == nil {
-		idx = &nameIndex{}
-		s.byName[in.Name] = idx
-	}
-	if n := len(idx.instances); n > 0 && idx.instances[n-1].Start.After(in.Start) {
-		idx.dirty = true
-	}
-	idx.instances = append(idx.instances, stored)
-	if d := in.Duration(); d > idx.maxDur {
-		idx.maxDur = d
-	}
-	if s.live == 1 || in.Start.Before(s.first) {
-		s.first = in.Start
-	}
-	if s.live == 1 || in.End.After(s.last) {
-		s.last = in.End
-	}
-	for _, fn := range s.onAppend {
-		fn(stored)
-	}
-	return stored, nil
+	ev.notify()
+	return err
 }
 
 // AddAll inserts every instance, in order, under a single lock acquisition.
@@ -240,13 +161,126 @@ func (s *Memory) AddAll(ins []event.Instance) {
 	for _, in := range ins {
 		s.addLocked(in)
 	}
-	gone, cutoff := s.maybeEvictLocked()
-	cbs := s.onEvict
+	ev := s.endWriteLocked()
 	s.mu.Unlock()
-	if len(gone) > 0 {
-		for _, cb := range cbs {
-			cb(gone, cutoff)
+	ev.notify()
+}
+
+// evictions is what one write evicted, delivered to the OnEvict hooks
+// once the lock is released.
+type evictions struct {
+	gone   []*event.Instance
+	cutoff time.Time
+	hooks  []func(evicted []*event.Instance, cutoff time.Time)
+}
+
+func (e evictions) notify() {
+	if len(e.gone) == 0 {
+		return
+	}
+	for _, cb := range e.hooks {
+		cb(e.gone, e.cutoff)
+	}
+}
+
+// endWriteLocked runs the retention sweep and collects everything the
+// write evicted, on arrival or by the sweep. Because the window is a
+// pure function of the live set (retention.go), one sweep per write
+// leaves the same store as one per insert.
+func (s *Memory) endWriteLocked() evictions {
+	ev := evictions{hooks: s.onEvict}
+	ev.gone, ev.cutoff = s.sweepLocked()
+	if len(s.gone) > 0 {
+		ev.gone = append(s.gone, ev.gone...)
+		s.gone = nil
+		if ev.cutoff.IsZero() {
+			ev.cutoff = s.buckets.start(s.cutoffKey())
 		}
+	}
+	return ev
+}
+
+func (s *Memory) putLocked(in event.Instance) (*event.Instance, error) {
+	mAdds.Inc()
+	next := s.base + len(s.byID)
+	stored := &in
+	// An instance whose End is already behind the retention cutoff is
+	// evicted on arrival: it takes its ID (as a tombstone) and passes
+	// through the append hooks like any insert, but never enters the
+	// indexes — O(1) instead of a sweep.
+	late := s.isLateLocked(in.End)
+	slot := stored
+	if late {
+		slot = nil
+	}
+	switch {
+	case len(s.byID) == 0 && in.ID >= next:
+		// Empty (or fully trimmed) store: jump the base forward so a
+		// shard whose first global ID is large doesn't allocate a nil
+		// prefix.
+		s.base = in.ID
+		s.byID = append(s.byID, slot)
+	case in.ID >= next:
+		// Forward gap: IDs in between belong to other shards; leave
+		// them as unassigned (tombstone-equivalent) slots.
+		for next < in.ID {
+			s.byID = append(s.byID, nil)
+			next++
+		}
+		s.byID = append(s.byID, slot)
+	case in.ID >= s.base:
+		if s.byID[in.ID-s.base] != nil {
+			return nil, fmt.Errorf("store: Put reuses occupied ID %d", in.ID)
+		}
+		s.byID[in.ID-s.base] = slot
+	default:
+		return nil, fmt.Errorf("store: Put ID %d below store base %d", in.ID, s.base)
+	}
+	if late {
+		s.gone = append(s.gone, stored)
+		mEvicted.Inc()
+	} else {
+		s.indexLocked(stored)
+	}
+	for _, fn := range s.onAppend {
+		fn(stored)
+	}
+	return stored, nil
+}
+
+// indexLocked adds a live instance (already placed in byID) to the name
+// index, the span, the retention head and the eviction buckets.
+func (s *Memory) indexLocked(stored *event.Instance) {
+	s.live++
+	idx := s.byName[stored.Name]
+	if idx == nil {
+		idx = &nameIndex{minStart: stored.Start, maxStart: stored.Start}
+		s.byName[stored.Name] = idx
+	}
+	if n := len(idx.instances); n > 0 && idx.instances[n-1].Start.After(stored.Start) {
+		idx.dirty = true
+	}
+	idx.instances = append(idx.instances, stored)
+	if d := stored.Duration(); d > idx.maxDur {
+		idx.maxDur = d
+	}
+	if stored.Start.Before(idx.minStart) {
+		idx.minStart = stored.Start
+	}
+	if stored.Start.After(idx.maxStart) {
+		idx.maxStart = stored.Start
+	}
+	if s.live == 1 || stored.Start.Before(s.first) {
+		s.first = stored.Start
+	}
+	if s.live == 1 || stored.End.After(s.last) {
+		s.last = stored.End
+	}
+	if s.live == 1 || stored.Start.After(s.head) {
+		s.head = stored.Start
+	}
+	if s.buckets != nil {
+		s.buckets.add(stored)
 	}
 }
 
@@ -452,102 +486,6 @@ func (s *Memory) Span() (first, last time.Time, ok bool) {
 }
 
 // ---------------------------------------------------------------------
-// Retention eviction
-// ---------------------------------------------------------------------
-
-// EvictBefore removes every instance whose End falls strictly before
-// cutoff and returns how many were evicted. Evicted IDs stay tombstoned
-// (Get reports not found; later IDs are unchanged) and the Span bounds are
-// recomputed so they stay exact. The registered OnEvict hooks, if any, run
-// after the lock is released.
-func (s *Memory) EvictBefore(cutoff time.Time) int {
-	s.mu.Lock()
-	gone := s.evictLocked(cutoff)
-	cbs := s.onEvict
-	s.mu.Unlock()
-	if len(gone) > 0 {
-		for _, cb := range cbs {
-			cb(gone, cutoff)
-		}
-	}
-	return len(gone)
-}
-
-// maybeEvictLocked applies the retention window with 25% slack so the
-// O(n) sweep amortizes over many inserts.
-func (s *Memory) maybeEvictLocked() (evicted []*event.Instance, cutoff time.Time) {
-	if s.retention <= 0 || s.live == 0 {
-		return nil, time.Time{}
-	}
-	if s.last.Sub(s.first) <= s.retention+s.retention/4 {
-		return nil, time.Time{}
-	}
-	cutoff = s.last.Add(-s.retention)
-	return s.evictLocked(cutoff), cutoff
-}
-
-func (s *Memory) evictLocked(cutoff time.Time) []*event.Instance {
-	var gone []*event.Instance
-	for i, in := range s.byID {
-		if in != nil && in.End.Before(cutoff) {
-			gone = append(gone, in)
-			s.byID[i] = nil
-		}
-	}
-	evicted := len(gone)
-	if evicted == 0 {
-		return nil
-	}
-	s.live -= evicted
-	mEvicted.Add(int64(evicted))
-	mEvictions.Inc()
-	// Filter each name index in place; the kept instances stay in their
-	// prior relative order so sortedness (and dirtiness) is preserved.
-	// maxDur is left as an upper bound: a too-wide query bound only costs
-	// extra scan, never correctness.
-	for name, idx := range s.byName {
-		kept := idx.instances[:0]
-		for _, in := range idx.instances {
-			if !in.End.Before(cutoff) {
-				kept = append(kept, in)
-			}
-		}
-		for i := len(kept); i < len(idx.instances); i++ {
-			idx.instances[i] = nil
-		}
-		if len(kept) == 0 {
-			delete(s.byName, name)
-			continue
-		}
-		idx.instances = kept
-	}
-	// Trim leading tombstones, advancing the ID base; copy so the evicted
-	// prefix of the backing array is actually released.
-	trim := 0
-	for trim < len(s.byID) && s.byID[trim] == nil {
-		trim++
-	}
-	if trim > 0 {
-		s.byID = append([]*event.Instance(nil), s.byID[trim:]...)
-		s.base += trim
-	}
-	// Recompute the span bounds. Eviction is keyed on End < cutoff, so
-	// last never shrinks, but first can.
-	if s.live == 0 {
-		s.first, s.last = time.Time{}, time.Time{}
-		return gone
-	}
-	first := time.Time{}
-	for _, in := range s.byID {
-		if in != nil && (first.IsZero() || in.Start.Before(first)) {
-			first = in.Start
-		}
-	}
-	s.first = first
-	return gone
-}
-
-// ---------------------------------------------------------------------
 // Dump and restore (snapshot support)
 // ---------------------------------------------------------------------
 
@@ -613,25 +551,7 @@ func (s *Memory) Restore(base, next int, ins []event.Instance) error {
 		prev = in.ID
 		stored := in
 		s.byID[in.ID-base] = &stored
-		s.live++
-		idx := s.byName[in.Name]
-		if idx == nil {
-			idx = &nameIndex{}
-			s.byName[in.Name] = idx
-		}
-		if n := len(idx.instances); n > 0 && idx.instances[n-1].Start.After(in.Start) {
-			idx.dirty = true
-		}
-		idx.instances = append(idx.instances, &stored)
-		if d := in.Duration(); d > idx.maxDur {
-			idx.maxDur = d
-		}
-		if s.live == 1 || in.Start.Before(s.first) {
-			s.first = in.Start
-		}
-		if s.live == 1 || in.End.After(s.last) {
-			s.last = in.End
-		}
+		s.indexLocked(&stored)
 	}
 	return nil
 }

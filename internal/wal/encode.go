@@ -31,11 +31,21 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFrame appends the framed payload to b.
-func appendFrame(b, payload []byte) []byte {
-	var hdr [frameHeader]byte
+// inlineFrame is the largest payload framed by copying into a reused
+// write buffer; bigger ones are written header-then-payload, and a
+// buffer grown past it is released after use.
+const inlineFrame = 64 << 10
+
+// frameHeaderOf returns the frame header for payload.
+func frameHeaderOf(payload []byte) (hdr [frameHeader]byte) {
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
+	return hdr
+}
+
+// appendFrame appends the framed payload to b.
+func appendFrame(b, payload []byte) []byte {
+	hdr := frameHeaderOf(payload)
 	b = append(b, hdr[:]...)
 	return append(b, payload...)
 }

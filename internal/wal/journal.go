@@ -72,7 +72,19 @@ func (j *Journal) Append(payload []byte) error {
 // Pair with Sync to commit a group of records under one fsync: none of
 // the group is acknowledged until the Sync returns, so the durability
 // contract is per-group instead of per-record.
+//
+// A payload up to inlineFrame bytes goes out in one write through a
+// reused buffer; a larger one (a multi-MB feed body) is written as its
+// header then itself, so no payload-sized copy outlives the call.
 func (j *Journal) AppendNoSync(payload []byte) error {
+	if len(payload) > inlineFrame {
+		hdr := frameHeaderOf(payload)
+		if _, err := j.f.Write(hdr[:]); err != nil {
+			return err
+		}
+		_, err := j.f.Write(payload)
+		return err
+	}
 	j.buf = appendFrame(j.buf[:0], payload)
 	_, err := j.f.Write(j.buf)
 	return err

@@ -27,8 +27,9 @@ func snapFile(dir string, next int) string {
 
 // Snapshot flushes pending records, writes a full dump of the store, and
 // compacts: segments made redundant by the snapshot and all but the
-// previous snapshot are deleted. With retention eviction feeding this
-// (the store's OnEvict hook), disk stays bounded like the store's memory.
+// previous snapshot are deleted. Run every Options.SnapshotEvery records
+// with store retention on, this keeps disk bounded by the live store plus
+// SnapshotEvery records.
 //
 // The dump streams through a reused scratch buffer and a buffered
 // writer — never a full in-memory image — so snapshotting a large store

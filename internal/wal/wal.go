@@ -20,9 +20,11 @@
 // records with ID ≥ the snapshot's next-ID. A torn final record (crash
 // mid-write) is truncated, not fatal: the recovered store is the longest
 // committed prefix of the log. Snapshots make the segments
-// below them redundant, so Snapshot deletes them — with the store's
-// retention eviction triggering snapshots, disk usage stays bounded the
-// same way the store's window bounds memory.
+// below them redundant, so Snapshot deletes them — with periodic
+// snapshots (Options.SnapshotEvery) and store retention, disk usage stays
+// bounded the same way the store's window bounds memory. Replay re-runs
+// retention: the store's window is a pure function of its live set, so a
+// snapshot taken anywhere plus the tail recovers the same store.
 //
 // # Concurrency
 //
@@ -98,7 +100,7 @@ type Options struct {
 	SegmentBytes int64
 	// SnapshotEvery, when positive, auto-snapshots after that many
 	// records have been committed since the last snapshot. Zero leaves
-	// snapshots to explicit Snapshot calls (shutdown, eviction hooks).
+	// snapshots to explicit Snapshot calls (shutdown).
 	SnapshotEvery int
 	// Retention, when positive, is the store's retention window. It is
 	// applied to the store before recovery so that replay re-evicts
@@ -409,6 +411,10 @@ func (l *Log) flushLocked(sync bool, began time.Time) error {
 		l.syncedSeq = l.nextSeq
 	}
 	l.sinceSnap += l.bufRecords
+	if cap(l.buf) > inlineFrame && cap(l.buf) > 4*len(l.buf) {
+		// One large group must not pin its buffer for the process's life.
+		l.buf = nil
+	}
 	l.buf = l.buf[:0]
 	l.bufStarts = l.bufStarts[:0]
 	l.bufIDs = l.bufIDs[:0]

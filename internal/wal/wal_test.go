@@ -311,50 +311,54 @@ func TestSnapshotCompactionBoundsDisk(t *testing.T) {
 	}
 }
 
-// TestEvictionSnapshotRecovery: retention eviction plus the OnEvict →
-// Snapshot wiring (what grca serve uses) must recover to the evicted
-// store's exact state, not resurrect evicted events.
+// TestEvictionSnapshotRecovery: retention eviction with snapshots taken
+// only periodically (what grca serve does — nothing snapshots at an
+// eviction) must recover to the evicted store's exact state from every
+// snapshot cut: replay re-runs the window, never resurrecting an evicted
+// event nor evicting a live one.
 func TestEvictionSnapshotRecovery(t *testing.T) {
-	dir := t.TempDir()
-	l, st, _, err := Open(dir, Options{SegmentBytes: 4 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.SetRetention(30 * time.Minute)
-	st.OnEvict(func([]*event.Instance, time.Time) {
-		if err := l.Snapshot(); err != nil {
-			t.Errorf("snapshot on evict: %v", err)
+	const retention = 30 * time.Minute
+	for _, every := range []int{0, 7, 50} {
+		dir := t.TempDir()
+		opts := Options{SegmentBytes: 4 << 10, SnapshotEvery: every, Retention: retention}
+		l, st, _, err := Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	base := time.Date(2010, 1, 5, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 300; i++ {
-		at := base.Add(time.Duration(i) * time.Minute)
-		st.Add(event.Instance{Name: "tick", Start: at, End: at, Loc: locus.At(locus.Router, "r0")})
-		if i%20 == 19 {
-			if err := l.Commit(); err != nil {
-				t.Fatal(err)
+		base := time.Date(2010, 1, 5, 0, 0, 0, 0, time.UTC)
+		for i := 0; i < 300; i++ {
+			at := base.Add(time.Duration(i) * time.Minute)
+			if i%9 == 4 {
+				at = at.Add(-2 * time.Hour) // late: evicted on arrival
+			}
+			st.Add(event.Instance{Name: "tick", Start: at, End: at, Loc: locus.At(locus.Router, "r0")})
+			if i%20 == 19 {
+				if err := l.Commit(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if st.Len() == 300 {
-		t.Fatal("retention evicted nothing")
-	}
-	first, last, ok := st.Span()
-	if !ok || last.Sub(first) > 40*time.Minute {
-		t.Fatalf("span %v–%v exceeds retention+slack", first, last)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, st2, _, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := StoreDigest(st2), StoreDigest(st); got != want {
-		t.Fatal("recovered store differs from the evicted original")
+		if err := l.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if st.Len() >= 300-300/9 {
+			t.Fatal("retention evicted nothing beyond the late arrivals")
+		}
+		first, last, ok := st.Span()
+		if !ok || last.Sub(first) > retention+retention/4 {
+			t.Fatalf("span %v–%v exceeds retention+slack", first, last)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, st2, rec, err := Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := StoreDigest(st2), StoreDigest(st); got != want {
+			t.Fatalf("SnapshotEvery=%d: recovered store (snapshot at %d, %d replayed) differs from the evicted original",
+				every, rec.SnapshotNext, rec.Replayed)
+		}
 	}
 }
 
@@ -424,5 +428,60 @@ func TestTornSnapshotFallsBack(t *testing.T) {
 	// history is still there and recovery rebuilds everything.
 	if got, want := StoreDigest(st2), StoreDigest(st); got != want {
 		t.Fatal("fallback recovery lost data despite intact segments")
+	}
+}
+
+// TestLargeFramesNotRetained: a journal record or WAL group larger than
+// the inline threshold still frames and replays exactly, but no buffer
+// of its size stays referenced once the write returns.
+func TestLargeFramesNotRetained(t *testing.T) {
+	dir := t.TempDir()
+	j, err := OpenJournal(dir + "/journal.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := make([]byte, 3<<20)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	payloads := [][]byte{[]byte("small"), big, []byte("after")}
+	for _, p := range payloads {
+		if err := j.AppendNoSync(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if cap(j.buf) > inlineFrame+frameHeader {
+		t.Fatalf("journal kept a %d-byte write buffer", cap(j.buf))
+	}
+	var got [][]byte
+	if _, err := ReplayJournal(dir+"/journal.log", func(p []byte) error {
+		got = append(got, append([]byte(nil), p...))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(payloads) || string(got[0]) != "small" || string(got[2]) != "after" || string(got[1]) != string(big) {
+		t.Fatalf("replayed %d records, want the %d appended", len(got), len(payloads))
+	}
+
+	l, st, _, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	evs := genEvents(3, 5000)
+	st.AddAll(evs) // one group of ~1 MB
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	st.Add(evs[0])
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if cap(l.buf) > inlineFrame {
+		t.Fatalf("log kept a %d-byte buffer after a one-record group", cap(l.buf))
 	}
 }
