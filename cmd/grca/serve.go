@@ -16,35 +16,29 @@ import (
 	"grca/internal/obs"
 	"grca/internal/platform"
 	"grca/internal/server"
-	"grca/internal/wal"
 )
 
 // runServe starts the durable diagnosis service: the bundle supplies the
 // configuration archive and deployment metadata, feeds arrive over HTTP,
-// and everything accepted survives restarts via the WAL + ingest journal
-// under -data-dir.
+// and everything accepted survives restarts via the ingest journal under
+// -data-dir.
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	dataDir := fs.String("data-dir", "", "durable state directory (WAL, snapshots, journal; required)")
+	dataDir := fs.String("data-dir", "", "durable state directory (the ingest journal; required)")
 	bundleDir := fs.String("bundle", "", "dataset bundle directory supplying configs + manifest (required)")
-	fsync := fs.String("fsync", "batch", "WAL durability policy: batch (sync per commit) or interval")
-	fsyncEvery := fs.Duration("fsync-interval", 200*time.Millisecond, "background sync period with -fsync=interval")
-	snapshotEvery := fs.Int("snapshot-every", 50000, "snapshot the store every N WAL records (0 = only on shutdown)")
+	fsync := fs.String("fsync", "batch", "journal durability policy: batch only (one fsync per commit group)")
 	retention := fs.Duration("retention", 0, "evict events that ended this long before the latest event start, O(evicted) per sweep (0 = keep everything)")
-	shards := fs.Int("shards", 1, "store/WAL shard count: independent commit lanes the ingest path parallelizes across (fixed at data-dir creation)")
+	shards := fs.Int("shards", 1, "store/journal shard count: independent commit lanes the ingest path parallelizes across (fixed at data-dir creation)")
 	maxInflight := fs.Int("max-inflight", 64, "per-shard ingest queue depth; beyond it clients get 429")
 	timeout := fs.Duration("request-timeout", 60*time.Second, "per-request applier wait bound")
 	legacyParsers := fs.Bool("legacy-parsers", false, "use the reference string parsers instead of the zero-copy fast path (parity-tested escape hatch)")
-	replayWorkers := fs.Int("replay-workers", 0, "WAL recovery decode parallelism (0 = GOMAXPROCS)")
 	metricsAddr := fs.String("metrics-addr", "",
 		"serve expvar/pprof on a dedicated address (e.g. :6060); "+
 			"when unset, the same handlers are mounted on the main -addr under /debug/")
 	replicaOf := fs.String("replica-of", "",
 		"run as a live read replica of the primary at this base URL (e.g. http://primary:8080); "+
 			"writes are redirected there until `grca promote`")
-	replicaGrace := fs.Duration("replica-grace", 0,
-		"primary-side WAL retention grace for detached replicas (0 = default)")
 	replicaPoll := fs.Duration("replica-poll", 0,
 		"primary-side shipping poll interval (0 = default)")
 	if err := fs.Parse(args); err != nil {
@@ -53,9 +47,8 @@ func runServe(args []string) error {
 	if *dataDir == "" || *bundleDir == "" {
 		return fmt.Errorf("serve: -data-dir and -bundle are required")
 	}
-	policy, err := wal.ParseFsyncPolicy(*fsync)
-	if err != nil {
-		return err
+	if *fsync != "batch" {
+		return fmt.Errorf("serve: -fsync %q: only batch is supported (the journal fsyncs every commit group)", *fsync)
 	}
 	bundle, err := platform.Load(*bundleDir)
 	if err != nil {
@@ -73,17 +66,12 @@ func runServe(args []string) error {
 	s, err := server.Open(server.Config{
 		DataDir:        *dataDir,
 		Bundle:         bundle,
-		Fsync:          policy,
-		FsyncInterval:  *fsyncEvery,
-		SnapshotEvery:  *snapshotEvery,
 		Retention:      *retention,
 		Shards:         *shards,
 		MaxInflight:    *maxInflight,
 		RequestTimeout: *timeout,
 		LegacyParsers:  *legacyParsers,
-		ReplayWorkers:  *replayWorkers,
 		ReplicaOf:      *replicaOf,
-		ReplicaGrace:   *replicaGrace,
 		ReplicaPoll:    *replicaPoll,
 		// No dedicated metrics listener: expose /debug/ on the main
 		// address so a single-port deployment still has expvar/pprof.
@@ -97,11 +85,7 @@ func runServe(args []string) error {
 	if rec.Finalized {
 		phase = "serving"
 	}
-	fmt.Fprintf(os.Stderr, "serve: recovered %d batches, %d events (phase %s", rec.Batches, rec.Events, phase)
-	if rec.WALRebuilt {
-		fmt.Fprint(os.Stderr, "; WAL rebuilt from journal")
-	}
-	fmt.Fprintln(os.Stderr, ")")
+	fmt.Fprintf(os.Stderr, "serve: recovered %d batches, %d events (phase %s)\n", rec.Batches, rec.Events, phase)
 	if *replicaOf != "" {
 		fmt.Fprintf(os.Stderr, "serve: replica of %s — writes redirect to the primary until promotion\n", *replicaOf)
 	}
@@ -110,7 +94,7 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "serve: listening on %s (data under %s, shards=%d, fsync=%s)\n", bound, *dataDir, rec.Shards, policy)
+	fmt.Fprintf(os.Stderr, "serve: listening on %s (data under %s, shards=%d)\n", bound, *dataDir, rec.Shards)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
@@ -126,9 +110,9 @@ func runServe(args []string) error {
 }
 
 // runPromote flips a running replica into a standalone primary: it
-// seals the replication streams, finishes replay, reopens through the
-// normal recovery path (whose journal-vs-WAL reconcile verifies the
-// shipped state), and reports the promoted node's per-shard digests.
+// seals the replication stream, reopens through the normal recovery
+// path (a replay of the shipped journals), and reports the promoted
+// node's per-shard digests.
 func runPromote(args []string) error {
 	fs := flag.NewFlagSet("promote", flag.ExitOnError)
 	addr := fs.String("addr", "", "base URL of the replica to promote (e.g. http://127.0.0.1:8081; required)")
@@ -163,8 +147,8 @@ func runPromote(args []string) error {
 		return fmt.Errorf("promote: bad response: %v", err)
 	}
 	fmt.Printf("promoted: role=%s boot=%s applied_seq=%d\n", info.Role, info.BootID, info.AppliedSeq)
-	fmt.Printf("recovered %d batches, %d events (finalized=%v, wal_rebuilt=%v)\n",
-		info.Recovery.Batches, info.Recovery.Events, info.Recovery.Finalized, info.Recovery.WALRebuilt)
+	fmt.Printf("recovered %d batches, %d events (finalized=%v)\n",
+		info.Recovery.Batches, info.Recovery.Events, info.Recovery.Finalized)
 	for i, d := range info.Digests {
 		fmt.Printf("shard %d digest %s\n", i, d)
 	}

@@ -55,12 +55,13 @@ const (
 	// streaming processor's grace window (exercised by Replay; feed text
 	// is unaffected).
 	FaultDelay Fault = "delay"
-	// FaultCrashRestart kills and restarts a WAL-backed ingest mid-stream
-	// (exercised by CrashReplay; feed text is unaffected): uncommitted
-	// batches are lost and re-delivered after recovery, and the recovered
-	// store must come back byte-identical.
+	// FaultCrashRestart kills and restarts a journal-backed ingest
+	// mid-stream (exercised by CrashReplay; feed text is unaffected):
+	// unsynced journal suffixes are torn, the lost batches are
+	// re-delivered after recovery, and the recovered store must come back
+	// byte-identical.
 	FaultCrashRestart Fault = "crash-restart"
-	// FaultReplicaLag stalls a read replica's WAL-shipping stream once
+	// FaultReplicaLag stalls a read replica's journal stream once
 	// LagFraction of the corpus has shipped (exercised by ReplicaReplay;
 	// feed text is unaffected): the follower serves a consistent stale
 	// prefix until the stream resumes, and the healed state must be
@@ -68,9 +69,9 @@ const (
 	FaultReplicaLag Fault = "replica-lag"
 	// FaultPartition severs the replication connection at seeded byte
 	// offsets — usually mid-frame — PartitionCount times (exercised by
-	// ReplicaReplay): each reconnect resumes from the follower's
-	// frontier through the torn-frame discard path, and the healed
-	// state must be byte-identical to the primary.
+	// ReplicaReplay): each reconnect resumes from the follower's applied
+	// sequence through the torn-frame discard path, and the healed state
+	// must be byte-identical to the primary.
 	FaultPartition Fault = "partition"
 )
 
@@ -145,12 +146,12 @@ type Config struct {
 
 	// CrashCount kill -9 restarts are simulated at seed-derived points in
 	// the stream (default 3); CrashBatch events are delivered per
-	// acknowledged WAL commit (default 256), bounding how much each crash
-	// loses and re-delivers.
+	// acknowledged journal group commit (default 256), bounding how much
+	// each crash loses and re-delivers.
 	CrashCount int
 	CrashBatch int
 
-	// LagFraction is where the replica-lag scenario stalls the shipping
+	// LagFraction is where the replica-lag scenario stalls the journal
 	// stream, as a fraction of the corpus (default 0.6); PartitionCount
 	// is how many seeded mid-stream connection cuts the partition
 	// scenario inflicts before healing (default 3).

@@ -63,7 +63,7 @@ func TestCrashReplayByteIdentical(t *testing.T) {
 }
 
 // TestCrashReplayShardedByteIdentical extends the crash property to the
-// sharded write path: crashes tear different shards' WALs at different
+// sharded write path: crashes tear different shards' journals at different
 // points of the global ID sequence, and recovery must still converge on
 // a merged store byte-identical to never having crashed.
 func TestCrashReplayShardedByteIdentical(t *testing.T) {

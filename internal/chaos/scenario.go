@@ -67,7 +67,7 @@ type Scenario struct {
 	Dropped     []string `json:",omitempty"`
 	// Crashes/Redelivered/DigestMatch are set by the crash-restart
 	// scenario: restart count, events lost-and-redelivered across all
-	// crashes, and whether WAL recovery reproduced the store
+	// crashes, and whether journal recovery reproduced the store
 	// byte-identically.
 	Crashes     int  `json:",omitempty"`
 	Redelivered int  `json:",omitempty"`
@@ -79,9 +79,9 @@ type Scenario struct {
 	// kill -9 restart exactly.
 	BreakdownMatch bool `json:",omitempty"`
 	// StaleFrontier/Total/Reconnects/Torn are set by the replication
-	// scenarios (replica-lag, partition): the record frontier the
-	// lagging follower was serving reads at, the primary's record
-	// count, stream re-establishments, and deliveries cut mid-frame.
+	// scenarios (replica-lag, partition): the event count the lagging
+	// follower was serving reads at, the primary's event count, stream
+	// re-establishments, and deliveries cut mid-frame.
 	// DigestMatch then reports the post-heal follower-vs-primary
 	// comparison.
 	StaleFrontier int `json:",omitempty"`
@@ -183,7 +183,7 @@ func RunMatrix(b platform.Bundle, cfg Config, opts Options) (*Report, error) {
 
 		if f == FaultCrashRestart {
 			// Crash-restart perturbs durability, not the feed text: replay
-			// the clean corpus through a WAL with seeded kill -9 restarts
+			// the clean corpus through the journal with seeded kill -9 restarts
 			// and diagnose over the recovered store.
 			res, err := inj.CrashReplay(cleanSys.Store)
 			if err != nil {

@@ -6,7 +6,7 @@ import (
 )
 
 // GoroutineLife flags fire-and-forget goroutines in library packages.
-// Every goroutine the platform starts (server applier, WAL flusher, SSE
+// Every goroutine the platform starts (server applier, finisher, SSE
 // writers, parallel diagnosis workers) must have a visible lifecycle: it
 // drains a channel that Close shuts, selects on a stop/context signal, or
 // signals a WaitGroup. A `go` statement with none of those is a leak —

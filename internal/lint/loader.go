@@ -132,7 +132,7 @@ func (p *Package) Pass(fset *token.FileSet) *Pass {
 // sourceFiles lists the non-test .go files of dir that build on the
 // host platform, sorted. Build constraints — `//go:build` lines and
 // `_GOOS`/`_GOARCH` filename suffixes — are honored via go/build, so a
-// package with per-platform variants of one function (e.g. the WAL's
+// package with per-platform variants of one function (e.g. the journal's
 // fdatasync wrapper) type-checks exactly as the compiler would see it
 // rather than with both variants redeclared.
 func sourceFiles(dir string) ([]string, error) {

@@ -91,7 +91,7 @@ func New(view *netstate.View, g *dgraph.Graph, grace time.Duration) *Processor {
 }
 
 // NewOnStore builds a streaming processor over an existing store that
-// someone else fills — the serving pipeline, where the WAL-backed store
+// someone else fills — the serving pipeline, where the journal-backed store
 // is shared by ingest, diagnosis, and trending. Events reach the
 // processor through ObserveStored after the owner has added them;
 // calling Observe on such a processor would store them twice.

@@ -8,9 +8,9 @@ import (
 	"grca/internal/wal"
 )
 
-// FuzzStreamDecode drives the replication stream decoder — WAL framing
-// outside, protocol messages inside — with arbitrary bytes: torn
-// frames, flipped CRCs, truncated segment hand-offs, absurd lengths.
+// FuzzStreamDecode drives the replication stream decoder — journal
+// framing outside, protocol messages inside — with arbitrary bytes: torn
+// frames, flipped CRCs, truncated records, absurd lengths.
 // The decoder must never panic, never allocate proportionally to a
 // claimed (rather than delivered) size, and must classify every stream
 // as some prefix of messages followed by clean EOF or ErrTornFrame.
@@ -19,11 +19,8 @@ func FuzzStreamDecode(f *testing.F) {
 	var good []byte
 	good = AppendHello(good, "boot-fuzz", 4, StreamJournal, 12)
 	good = AppendJournalRec(good, 1, []byte{42, 'r', 'e', 'c'})
-	good = AppendWALRec(good, []byte{9, 'w'})
-	good = AppendSnapBegin(good, 512, 64)
-	good = AppendSnapChunk(good, bytes.Repeat([]byte{0xab}, 64))
-	good = AppendSnapEnd(good)
-	good = AppendHeartbeat(good, 99, []int64{1, 2, 3, 4}, []int{5, 6, 7, 8})
+	good = AppendJournalRec(good, 3, bytes.Repeat([]byte{0xab}, 64))
+	good = AppendHeartbeat(good, 99, []int64{1, 2, 3, 4})
 	good = AppendEOF(good, "seal")
 	f.Add(good)
 	// ...its truncations (torn frames and a mid-payload cut)...
@@ -52,8 +49,8 @@ func FuzzStreamDecode(f *testing.F) {
 			if m.Shards < 0 || m.Shards > maxShards {
 				t.Fatalf("hello shards out of bounds: %d", m.Shards)
 			}
-			if len(m.JournalBytes) > maxShards || len(m.WALNext) > maxShards {
-				t.Fatalf("heartbeat arrays out of bounds: %d/%d", len(m.JournalBytes), len(m.WALNext))
+			if len(m.JournalBytes) > maxShards {
+				t.Fatalf("heartbeat array out of bounds: %d", len(m.JournalBytes))
 			}
 			msgs++
 			if msgs > 1<<20 {

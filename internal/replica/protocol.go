@@ -1,28 +1,20 @@
-// Package replica is the WAL-shipping replication subsystem: a
+// Package replica is the journal-shipping replication subsystem: a
 // primary-side Source that tails the serving pipeline's ingest journals
-// and per-shard WAL segments and streams them over HTTP, and the
-// follower-side pieces — a reconnecting Client, a WALSink that
-// materializes shipped segments and snapshots on the follower's disk —
-// that keep a live read replica byte-identical to its primary.
+// and streams them, merged into global sequence order, over HTTP, and a
+// reconnecting follower-side Client that feeds the stream to a live read
+// replica.
 //
-// The stream reuses the WAL's record framing (len | CRC32C | payload),
-// so the wire format is the on-disk format; each frame's payload is one
-// protocol message: a type byte followed by a type-specific body. Two
-// stream kinds exist:
-//
-//   - The journal stream ships every shard's ingest-journal records
-//     merged into global sequence order (each tagged with its owner
-//     shard). It is totally ordered, so the follower applies records in
-//     arrival order through the same replay path crash recovery uses —
-//     same routing, same dense ID allocation, same store digests.
-//   - A WAL stream per shard ships that shard's event-WAL records (and,
-//     when the follower's frontier predates the oldest retained segment,
-//     the latest snapshot first). Shipped bytes go to the follower's
-//     disk only; on promotion they are reconciled against the journal
-//     replay exactly as a restarting primary reconciles its own WAL.
-//
-// Heartbeats carry the primary's sealed sequence and per-shard
-// journal/WAL frontiers — the lag signal — on every stream.
+// The stream reuses the journal's record framing (len | CRC32C |
+// payload), so the wire format is the on-disk format; each frame's
+// payload is one protocol message: a type byte followed by a
+// type-specific body. The stream ships every shard's journal records
+// merged into global sequence order, each tagged with its owner shard.
+// It is totally ordered, so the follower applies records in arrival
+// order through the same replay path crash recovery uses — same
+// routing, same dense ID allocation, same store digests — and journals
+// them locally, so its own restart or promotion replays the same
+// history. Heartbeats carry the primary's sealed sequence and per-shard
+// journal sizes — the lag signal.
 package replica
 
 import (
@@ -34,28 +26,15 @@ import (
 
 // Protocol message types. One frame carries one message.
 const (
-	// MsgHello is the server's first frame on every stream: protocol
+	// MsgHello is the server's first frame on the stream: protocol
 	// version, the primary's boot ID, its shard count, the stream kind,
 	// and the resume point the server honored.
 	MsgHello byte = 1
 	// MsgJournalRec carries one ingest-journal record and the shard whose
-	// journal owns it. Journal-stream only; records arrive in global
-	// sequence order.
+	// journal owns it. Records arrive in global sequence order.
 	MsgJournalRec byte = 2
-	// MsgWALRec carries one event-WAL segment record (explicit store ID
-	// inside). WAL-stream only; records arrive in ascending ID order.
-	MsgWALRec byte = 3
-	// MsgSnapBegin announces a snapshot bootstrap: the follower's resume
-	// point predates the oldest retained segment, so the latest snapshot
-	// ships first. The follower resets its local WAL state for the shard.
-	MsgSnapBegin byte = 4
-	// MsgSnapChunk carries one chunk of the snapshot file, verbatim.
-	MsgSnapChunk byte = 5
-	// MsgSnapEnd closes the snapshot; WAL records from its next-ID bound
-	// follow.
-	MsgSnapEnd byte = 6
 	// MsgHeartbeat carries the primary's sealed sequence and per-shard
-	// journal byte sizes and WAL frontiers — the follower's lag inputs.
+	// journal byte sizes — the follower's lag inputs.
 	MsgHeartbeat byte = 7
 	// MsgEOF ends a stream deliberately (shutdown, seal) with a reason.
 	MsgEOF byte = 8
@@ -63,21 +42,18 @@ const (
 
 // ProtocolVersion is negotiated via MsgHello; a follower refuses a
 // primary speaking a different version.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
-// Stream kinds named in MsgHello.
-const (
-	StreamJournal byte = 'j'
-	StreamWAL     byte = 'w'
-)
+// StreamJournal is the stream kind named in MsgHello.
+const StreamJournal byte = 'j'
 
 // maxShards bounds the per-shard arrays a heartbeat or hello may claim,
 // so a corrupt frame cannot drive a huge allocation.
 const maxShards = 1024
 
 // Msg is one decoded protocol message; the populated fields depend on
-// Type. Rec and Chunk alias the decoded frame's buffer — copy to retain
-// across the next read.
+// Type. Rec aliases the decoded frame's buffer — copy to retain across
+// the next read.
 type Msg struct {
 	Type byte
 
@@ -90,18 +66,11 @@ type Msg struct {
 
 	// MsgJournalRec
 	Shard int
-	// MsgJournalRec, MsgWALRec
-	Rec []byte
-	// MsgSnapChunk
-	Chunk []byte
-	// MsgSnapBegin
-	Next int
-	Size int64
+	Rec   []byte
 
 	// MsgHeartbeat
 	Sealed       int
 	JournalBytes []int64
-	WALNext      []int
 
 	// MsgEOF
 	Reason string
@@ -145,50 +114,15 @@ func AppendJournalRec(b []byte, shard int, rec []byte) []byte {
 	return appendMsg(b, p)
 }
 
-// AppendWALRec frames one WAL segment record (verbatim on-disk bytes)
-// onto b.
-func AppendWALRec(b []byte, rec []byte) []byte {
-	p := make([]byte, 0, 1+len(rec))
-	p = append(p, MsgWALRec)
-	p = append(p, rec...)
-	return appendMsg(b, p)
-}
-
-// AppendSnapBegin frames a snapshot-bootstrap announcement onto b.
-func AppendSnapBegin(b []byte, next int, size int64) []byte {
-	p := make([]byte, 0, 24)
-	p = append(p, MsgSnapBegin)
-	p = binary.AppendUvarint(p, uint64(next))
-	p = binary.AppendUvarint(p, uint64(size))
-	return appendMsg(b, p)
-}
-
-// AppendSnapChunk frames one snapshot file chunk onto b.
-func AppendSnapChunk(b []byte, chunk []byte) []byte {
-	p := make([]byte, 0, 1+len(chunk))
-	p = append(p, MsgSnapChunk)
-	p = append(p, chunk...)
-	return appendMsg(b, p)
-}
-
-// AppendSnapEnd frames the snapshot terminator onto b.
-func AppendSnapEnd(b []byte) []byte { return appendMsg(b, []byte{MsgSnapEnd}) }
-
 // AppendHeartbeat frames a lag heartbeat onto b: the sealed global
-// sequence plus, per shard, the journal's byte size and the WAL's next
-// record ID on the primary.
-func AppendHeartbeat(b []byte, sealed int, journalBytes []int64, walNext []int) []byte {
-	p := make([]byte, 0, 16+20*len(journalBytes))
+// sequence plus each shard journal's byte size on the primary.
+func AppendHeartbeat(b []byte, sealed int, journalBytes []int64) []byte {
+	p := make([]byte, 0, 16+10*len(journalBytes))
 	p = append(p, MsgHeartbeat)
 	p = binary.AppendVarint(p, int64(sealed))
 	p = binary.AppendUvarint(p, uint64(len(journalBytes)))
 	for i := range journalBytes {
 		p = binary.AppendUvarint(p, uint64(journalBytes[i]))
-		n := 0
-		if i < len(walNext) {
-			n = walNext[i]
-		}
-		p = binary.AppendUvarint(p, uint64(n))
 	}
 	return appendMsg(b, p)
 }
@@ -245,27 +179,10 @@ func ParseMsg(p []byte) (Msg, error) {
 		}
 		m.Shard = int(shard)
 		m.Rec = p[sz:]
-	case MsgWALRec:
-		m.Rec = p
-	case MsgSnapBegin:
-		next, sz := binary.Uvarint(p)
-		if sz <= 0 {
-			return m, fmt.Errorf("replica: truncated snapshot next")
-		}
-		p = p[sz:]
-		size, sz := binary.Uvarint(p)
-		if sz <= 0 {
-			return m, fmt.Errorf("replica: truncated snapshot size")
-		}
-		m.Next, m.Size = int(next), int64(size)
-	case MsgSnapChunk:
-		m.Chunk = p
-	case MsgSnapEnd, MsgEOF:
-		if m.Type == MsgEOF {
-			var err error
-			if m.Reason, _, err = readStreamString(p); err != nil {
-				return m, err
-			}
+	case MsgEOF:
+		var err error
+		if m.Reason, _, err = readStreamString(p); err != nil {
+			return m, err
 		}
 	case MsgHeartbeat:
 		sealed, sz := binary.Varint(p)
@@ -280,20 +197,13 @@ func ParseMsg(p []byte) (Msg, error) {
 		}
 		p = p[sz:]
 		m.JournalBytes = make([]int64, n)
-		m.WALNext = make([]int, n)
 		for i := uint64(0); i < n; i++ {
 			jb, sz := binary.Uvarint(p)
 			if sz <= 0 {
 				return m, fmt.Errorf("replica: truncated heartbeat journal bytes")
 			}
 			p = p[sz:]
-			wn, sz := binary.Uvarint(p)
-			if sz <= 0 {
-				return m, fmt.Errorf("replica: truncated heartbeat wal frontier")
-			}
-			p = p[sz:]
 			m.JournalBytes[i] = int64(jb)
-			m.WALNext[i] = int(wn)
 		}
 	default:
 		return m, fmt.Errorf("replica: unknown message type %d", m.Type)
@@ -312,7 +222,7 @@ func JournalSeq(p []byte) (int, error) {
 	return int(seq), nil
 }
 
-// Reader decodes protocol messages from a byte stream: WAL framing
+// Reader decodes protocol messages from a byte stream: journal framing
 // outside, ParseMsg inside. Next returns io.EOF at a clean frame
 // boundary and wal.ErrTornFrame on a torn or corrupt frame.
 type Reader struct {

@@ -8,19 +8,16 @@ import (
 	"grca/internal/obs"
 )
 
-// DefaultGrace is how long a disconnected follower's compaction pin
-// survives: segments it has not shipped stay on disk for this window so
-// a transient partition does not force a snapshot re-bootstrap.
+// DefaultGrace is how long a disconnected follower stays listed: a
+// transient partition shows as an idle follower, not a vanished one.
 const DefaultGrace = 5 * time.Minute
 
-// Registry tracks attached followers on the primary: per-follower,
-// per-shard shipped frontiers feed the WAL compaction pin, and the
-// whole table backs /v1/replication/status. A follower that disconnects
-// keeps its entry (and its pin) for the grace window; reconnecting
-// within it resumes from retained segments instead of a snapshot.
+// Registry tracks attached followers on the primary — per follower, the
+// open stream count and the merged-journal sequence shipped — and backs
+// /v1/replication/status. A follower that disconnects keeps its entry
+// for the grace window.
 type Registry struct {
-	shards int
-	grace  time.Duration
+	grace time.Duration
 
 	mu        sync.Mutex
 	followers map[string]*followerEntry
@@ -30,8 +27,7 @@ type followerEntry struct {
 	id         string
 	streams    int // open stream connections
 	lastSeen   time.Time
-	journalSeq int   // last merged-journal seq shipped
-	walNext    []int // per-shard shipped WAL frontier (next un-shipped ID)
+	journalSeq int // last merged-journal seq shipped
 }
 
 // FollowerStatus is one follower's row in the primary's replication
@@ -42,26 +38,21 @@ type FollowerStatus struct {
 	Connected  bool    `json:"connected"`
 	IdleSecs   float64 `json:"idle_seconds"`
 	JournalSeq int     `json:"journal_seq"`
-	WALNext    []int   `json:"wal_next"`
 }
 
-// NewRegistry returns a registry for a primary with the given shard
-// count. grace <= 0 takes DefaultGrace.
-func NewRegistry(shards int, grace time.Duration) *Registry {
-	if grace <= 0 {
-		grace = DefaultGrace
-	}
-	return &Registry{shards: shards, grace: grace, followers: map[string]*followerEntry{}}
+// NewRegistry returns an empty registry.
+func NewRegistry() *Registry {
+	return &Registry{grace: DefaultGrace, followers: map[string]*followerEntry{}}
 }
 
 // Attach registers one stream connection for the follower, creating its
-// entry (with everything-pinned frontiers) on first contact.
+// entry on first contact.
 func (r *Registry) Attach(id string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e := r.followers[id]
 	if e == nil {
-		e = &followerEntry{id: id, journalSeq: -1, walNext: make([]int, r.shards)}
+		e = &followerEntry{id: id, journalSeq: -1}
 		r.followers[id] = e
 	}
 	e.streams++
@@ -93,41 +84,6 @@ func (r *Registry) NoteJournal(id string, seq int) {
 	}
 }
 
-// NoteWAL records the follower's shipped WAL frontier for one shard:
-// every record with ID < next has been sent.
-func (r *Registry) NoteWAL(id string, shard, next int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := r.followers[id]
-	if e == nil || shard < 0 || shard >= len(e.walNext) {
-		return
-	}
-	if next > e.walNext[shard] {
-		e.walNext[shard] = next
-	}
-	e.lastSeen = obs.Now()
-}
-
-// PinWAL returns shard's compaction pin — the lowest WAL record ID some
-// live (attached, or disconnected within the grace window) follower has
-// not shipped — or -1 when no follower pins the shard. Expired entries
-// are dropped here, lazily.
-func (r *Registry) PinWAL(shard int) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.expireLocked()
-	pin := -1
-	for _, e := range r.followers {
-		if shard < 0 || shard >= len(e.walNext) {
-			continue
-		}
-		if pin < 0 || e.walNext[shard] < pin {
-			pin = e.walNext[shard]
-		}
-	}
-	return pin
-}
-
 // expireLocked removes disconnected entries past the grace window.
 func (r *Registry) expireLocked() {
 	for id, e := range r.followers {
@@ -144,12 +100,10 @@ func (r *Registry) Status() []FollowerStatus {
 	r.expireLocked()
 	out := make([]FollowerStatus, 0, len(r.followers))
 	for _, e := range r.followers {
-		wn := make([]int, len(e.walNext))
-		copy(wn, e.walNext)
 		out = append(out, FollowerStatus{
 			ID: e.id, Streams: e.streams, Connected: e.streams > 0,
 			IdleSecs:   obs.Since(e.lastSeen).Seconds(),
-			JournalSeq: e.journalSeq, WALNext: wn,
+			JournalSeq: e.journalSeq,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })

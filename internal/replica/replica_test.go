@@ -7,30 +7,14 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"grca/internal/event"
-	"grca/internal/locus"
 	"grca/internal/wal"
 )
-
-var t0 = time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)
-
-func inst(id int, name string) event.Instance {
-	return event.Instance{
-		ID:    id,
-		Name:  name,
-		Start: t0.Add(time.Duration(id) * time.Second),
-		End:   t0.Add(time.Duration(id)*time.Second + time.Minute),
-		Loc:   locus.Location{Type: locus.Router, A: fmt.Sprintf("r%d", id%7)},
-		Attrs: map[string]string{"seq": fmt.Sprint(id)},
-	}
-}
 
 // decodeStream parses a full byte stream into messages (deep-copied).
 func decodeStream(t *testing.T, b []byte) []Msg {
@@ -46,7 +30,6 @@ func decodeStream(t *testing.T, b []byte) []Msg {
 			t.Fatalf("decode stream: %v (after %d msgs)", err, len(out))
 		}
 		m.Rec = append([]byte(nil), m.Rec...)
-		m.Chunk = append([]byte(nil), m.Chunk...)
 		out = append(out, m)
 	}
 }
@@ -55,16 +38,12 @@ func TestProtocolRoundTrip(t *testing.T) {
 	var b []byte
 	b = AppendHello(b, "boot-1", 4, StreamJournal, 17)
 	b = AppendJournalRec(b, 2, []byte("journal-bytes"))
-	b = AppendWALRec(b, []byte{7, 'w'})
-	b = AppendSnapBegin(b, 1000, 12345)
-	b = AppendSnapChunk(b, []byte("chunk"))
-	b = AppendSnapEnd(b)
-	b = AppendHeartbeat(b, 41, []int64{10, 20}, []int{5, 6})
+	b = AppendHeartbeat(b, 41, []int64{10, 20})
 	b = AppendEOF(b, "done")
 
 	msgs := decodeStream(t, b)
-	if len(msgs) != 8 {
-		t.Fatalf("got %d messages, want 8", len(msgs))
+	if len(msgs) != 4 {
+		t.Fatalf("got %d messages, want 4", len(msgs))
 	}
 	h := msgs[0]
 	if h.Type != MsgHello || h.Ver != ProtocolVersion || h.BootID != "boot-1" ||
@@ -74,32 +53,20 @@ func TestProtocolRoundTrip(t *testing.T) {
 	if j := msgs[1]; j.Type != MsgJournalRec || j.Shard != 2 || string(j.Rec) != "journal-bytes" {
 		t.Fatalf("journal rec mismatch: %+v", j)
 	}
-	if w := msgs[2]; w.Type != MsgWALRec || !bytes.Equal(w.Rec, []byte{7, 'w'}) {
-		t.Fatalf("wal rec mismatch: %+v", w)
-	}
-	if s := msgs[3]; s.Type != MsgSnapBegin || s.Next != 1000 || s.Size != 12345 {
-		t.Fatalf("snap begin mismatch: %+v", s)
-	}
-	if c := msgs[4]; c.Type != MsgSnapChunk || string(c.Chunk) != "chunk" {
-		t.Fatalf("snap chunk mismatch: %+v", c)
-	}
-	if msgs[5].Type != MsgSnapEnd {
-		t.Fatalf("snap end mismatch: %+v", msgs[5])
-	}
-	hb := msgs[6]
+	hb := msgs[2]
 	if hb.Type != MsgHeartbeat || hb.Sealed != 41 ||
-		len(hb.JournalBytes) != 2 || hb.JournalBytes[1] != 20 || hb.WALNext[1] != 6 {
+		len(hb.JournalBytes) != 2 || hb.JournalBytes[1] != 20 {
 		t.Fatalf("heartbeat mismatch: %+v", hb)
 	}
-	if e := msgs[7]; e.Type != MsgEOF || e.Reason != "done" {
+	if e := msgs[3]; e.Type != MsgEOF || e.Reason != "done" {
 		t.Fatalf("eof mismatch: %+v", e)
 	}
 }
 
 func TestReaderTornStream(t *testing.T) {
 	var b []byte
-	b = AppendHello(b, "boot", 1, StreamWAL, 0)
-	b = AppendWALRec(b, []byte{1, 2, 3})
+	b = AppendHello(b, "boot", 1, StreamJournal, 0)
+	b = AppendJournalRec(b, 0, []byte{1, 2, 3})
 	for cut := 1; cut < len(b); cut++ {
 		r := NewReader(wal.NewFrameReader(bytes.NewReader(b[:cut])))
 		var err error
@@ -123,195 +90,23 @@ func TestReaderTornStream(t *testing.T) {
 	}
 }
 
-func TestRegistryPinAndGrace(t *testing.T) {
-	r := NewRegistry(2, 30*time.Millisecond)
-	if pin := r.PinWAL(0); pin != -1 {
-		t.Fatalf("empty registry pin = %d, want -1", pin)
-	}
+// TestRegistryGrace: a disconnected follower stays listed through the
+// grace window, then expires; a connected one never does.
+func TestRegistryGrace(t *testing.T) {
+	r := NewRegistry()
+	r.grace = 30 * time.Millisecond
 	r.Attach("f1")
-	if pin := r.PinWAL(0); pin != 0 {
-		t.Fatalf("fresh follower pin = %d, want 0 (everything)", pin)
-	}
-	r.NoteWAL("f1", 0, 100)
-	r.NoteWAL("f1", 1, 50)
-	if pin := r.PinWAL(0); pin != 100 {
-		t.Fatalf("shard 0 pin = %d, want 100", pin)
-	}
-	if pin := r.PinWAL(1); pin != 50 {
-		t.Fatalf("shard 1 pin = %d, want 50", pin)
-	}
+	r.NoteJournal("f1", 40)
 	r.Attach("f2")
-	r.NoteWAL("f2", 0, 10)
-	if pin := r.PinWAL(0); pin != 10 {
-		t.Fatalf("two-follower pin = %d, want min 10", pin)
-	}
-	// Disconnect f2: the pin holds through the grace window, then expires.
+	r.NoteJournal("f2", 10)
 	r.Detach("f2")
-	if pin := r.PinWAL(0); pin != 10 {
-		t.Fatalf("graced pin = %d, want 10", pin)
+	if st := r.Status(); len(st) != 2 || st[1].ID != "f2" || st[1].Connected || st[1].JournalSeq != 10 {
+		t.Fatalf("graced status = %+v, want f2 listed, disconnected, at seq 10", st)
 	}
 	time.Sleep(60 * time.Millisecond)
-	if pin := r.PinWAL(0); pin != 100 {
-		t.Fatalf("post-grace pin = %d, want 100", pin)
-	}
 	st := r.Status()
-	if len(st) != 1 || st[0].ID != "f1" || !st[0].Connected {
+	if len(st) != 1 || st[0].ID != "f1" || !st[0].Connected || st[0].JournalSeq != 40 {
 		t.Fatalf("status = %+v, want connected f1 only", st)
-	}
-}
-
-func TestWALSinkWriteScanResume(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenWALSink(dir, 256) // tiny segments to force rotation
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Frontier() != 0 {
-		t.Fatalf("fresh frontier = %d", s.Frontier())
-	}
-	recs := makeTestRecords(t, 40, "sink")
-	for _, rec := range recs {
-		if err := s.WriteRecord(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Duplicate (re-shipped) records drop silently.
-	if err := s.WriteRecord(recs[3]); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := wal.Segments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) < 2 {
-		t.Fatalf("got %d segments, want rotation to have split them", len(segs))
-	}
-
-	// Reopen: frontier resumes one past the last intact record.
-	s2, err := OpenWALSink(dir, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Frontier() != 40 {
-		t.Fatalf("resumed frontier = %d, want 40", s2.Frontier())
-	}
-	s2.Close()
-
-	// Tear the tail: frontier retreats to the committed prefix.
-	tail := segs[len(segs)-1].Path
-	st, _ := os.Stat(tail)
-	if err := os.Truncate(tail, st.Size()-3); err != nil {
-		t.Fatal(err)
-	}
-	s3, err := OpenWALSink(dir, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s3.Frontier() >= 40 {
-		t.Fatalf("torn-tail frontier = %d, want < 40", s3.Frontier())
-	}
-	// Re-shipping from the frontier completes the log again.
-	for i := s3.Frontier(); i < 40; i++ {
-		if err := s3.WriteRecord(recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s3.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, mem, _, err := wal.Open(dir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, next, ins := mem.Dump()
-	if next != 40 || len(ins) != 40 {
-		t.Fatalf("recovered next=%d live=%d, want 40/40", next, len(ins))
-	}
-}
-
-func TestWALSinkSnapshotBootstrap(t *testing.T) {
-	// Build a primary log with a snapshot, ship it through the sink, and
-	// check the follower recovers the identical store.
-	prim := t.TempDir()
-	l, st, _, err := wal.Open(prim, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 25; i++ {
-		if _, err := st.Put(inst(i, "boot")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 25; i < 30; i++ {
-		if _, err := st.Put(inst(i, "boot")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	want := wal.StoreDigest(st)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	next, err := ShipWALOnce(prim, "boot-x", 0, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next != 30 {
-		t.Fatalf("shipped next = %d, want 30", next)
-	}
-
-	foll := t.TempDir()
-	sink, err := OpenWALSink(foll, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sawSnap := false
-	for _, m := range decodeStream(t, buf.Bytes()) {
-		switch m.Type {
-		case MsgSnapBegin:
-			sawSnap = true
-			if err := sink.BeginSnapshot(m.Next, m.Size); err != nil {
-				t.Fatal(err)
-			}
-		case MsgSnapChunk:
-			if err := sink.WriteSnapshotChunk(m.Chunk); err != nil {
-				t.Fatal(err)
-			}
-		case MsgSnapEnd:
-			if err := sink.EndSnapshot(); err != nil {
-				t.Fatal(err)
-			}
-		case MsgWALRec:
-			if err := sink.WriteRecord(m.Rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if !sawSnap {
-		t.Fatal("stream from 0 after a snapshot should bootstrap via the snapshot")
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, mem, _, err := wal.Open(foll, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := wal.StoreDigest(mem); got != want {
-		t.Fatalf("follower digest %s != primary %s", got, want)
 	}
 }
 
@@ -357,19 +152,17 @@ func TestServeJournalMergeOrder(t *testing.T) {
 
 	var sealedMu sync.Mutex
 	sealed := []int{-1, -1}
-	reg := NewRegistry(2, time.Minute)
+	reg := NewRegistry()
 	src := NewSource(SourceConfig{
 		BootID: "boot-m", Shards: 2,
 		JournalPath: func(i int) string { return paths[i] },
-		WALDir:      func(i int) string { return dir },
 		Sealed: func() []int {
 			sealedMu.Lock()
 			defer sealedMu.Unlock()
 			return append([]int(nil), sealed...)
 		},
-		WALFrontier: func(int) int { return 0 },
-		Registry:    reg,
-		Poll:        2 * time.Millisecond,
+		Registry: reg,
+		Poll:     2 * time.Millisecond,
 	})
 	w := &collectWriter{}
 	stop := make(chan struct{})
@@ -489,10 +282,8 @@ func TestServeJournalBudgetedMerge(t *testing.T) {
 		src := NewSource(SourceConfig{
 			BootID: "boot-b", Shards: shards,
 			JournalPath: func(i int) string { return paths[i] },
-			WALDir:      func(i int) string { return dir },
 			Sealed:      func() []int { return append([]int(nil), sealed...) },
-			WALFrontier: func(int) int { return 0 },
-			Registry:    NewRegistry(shards, time.Minute),
+			Registry:    NewRegistry(),
 			Poll:        2 * time.Millisecond,
 		})
 		src.budget = 1 // one frame per shard per pass
@@ -568,11 +359,10 @@ func TestServeJournalWatermarkBeforeFill(t *testing.T) {
 	var mu sync.Mutex
 	calls := 0
 	appended := false
-	reg := NewRegistry(2, time.Minute)
+	reg := NewRegistry()
 	src := NewSource(SourceConfig{
 		BootID: "boot-w", Shards: 2,
 		JournalPath: func(i int) string { return paths[i] },
-		WALDir:      func(i int) string { return dir },
 		Sealed: func() []int {
 			mu.Lock()
 			defer mu.Unlock()
@@ -589,9 +379,8 @@ func TestServeJournalWatermarkBeforeFill(t *testing.T) {
 			}
 			return []int{4, 4}
 		},
-		WALFrontier: func(int) int { return 0 },
-		Registry:    reg,
-		Poll:        2 * time.Millisecond,
+		Registry: reg,
+		Poll:     2 * time.Millisecond,
 	})
 	w := &collectWriter{}
 	stop := make(chan struct{})
@@ -635,187 +424,6 @@ func TestServeJournalWatermarkBeforeFill(t *testing.T) {
 	}
 }
 
-func TestServeWALLiveTailAndDigest(t *testing.T) {
-	// Records written while the stream is live — across segment rotations
-	// and snapshots (compaction racing the stream) — must all arrive, and
-	// the sink-materialized log must recover to the primary's digest.
-	prim := t.TempDir()
-	l, st, _, err := wal.Open(prim, wal.Options{SegmentBytes: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := NewRegistry(1, time.Minute)
-	l.SetCompactPin(func() int { return reg.PinWAL(0) })
-
-	src := NewSource(SourceConfig{
-		BootID: "boot-w", Shards: 1,
-		JournalPath: func(int) string { return filepath.Join(prim, "none.log") },
-		WALDir:      func(int) string { return prim },
-		Sealed:      func() []int { return []int{-1} },
-		WALFrontier: func(int) int { return l.Frontier() },
-		Registry:    reg,
-		Poll:        2 * time.Millisecond,
-	})
-	w := &collectWriter{}
-	stop := make(chan struct{})
-	done := make(chan error, 1)
-	go func() { done <- src.ServeWAL(w, nil, "t", 0, 0, stop) }()
-
-	const total = 120
-	for i := 0; i < total; i++ {
-		if _, err := st.Put(inst(i, "live")); err != nil {
-			t.Fatal(err)
-		}
-		if i%10 == 9 {
-			if err := l.Commit(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if i%40 == 39 {
-			if err := l.Snapshot(); err != nil { // compaction runs here
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	want := wal.StoreDigest(st)
-
-	// Wait until the stream's frontier covers everything. A completed
-	// snapshot bootstrap covers records below its bound: when the writer
-	// outruns the stream's attach, compaction may legitimately leave
-	// nothing but the final snapshot to ship.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		frontier, pendingSnap := -1, -1
-		for _, m := range decodeStream(t, w.bytes()) {
-			switch m.Type {
-			case MsgSnapBegin:
-				pendingSnap = m.Next
-			case MsgSnapEnd:
-				if pendingSnap-1 > frontier {
-					frontier = pendingSnap - 1
-				}
-			case MsgWALRec:
-				id, err := wal.RecordID(m.Rec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				frontier = id
-			}
-		}
-		if frontier == total-1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("stream stalled at record %d, want %d", frontier, total-1)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	close(stop)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	foll := t.TempDir()
-	sink, err := OpenWALSink(foll, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range decodeStream(t, w.bytes()) {
-		switch m.Type {
-		case MsgSnapBegin:
-			err = sink.BeginSnapshot(m.Next, m.Size)
-		case MsgSnapChunk:
-			err = sink.WriteSnapshotChunk(m.Chunk)
-		case MsgSnapEnd:
-			err = sink.EndSnapshot()
-		case MsgWALRec:
-			err = sink.WriteRecord(m.Rec)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, mem, _, err := wal.Open(foll, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := wal.StoreDigest(mem); got != want {
-		t.Fatalf("follower digest %s != primary %s", got, want)
-	}
-}
-
-func TestCompactionPinHoldsSegments(t *testing.T) {
-	// With a follower pinned at 0, snapshots must not delete any segment;
-	// releasing the pin lets the next snapshot compact.
-	dir := t.TempDir()
-	l, st, _, err := wal.Open(dir, wal.Options{SegmentBytes: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pin := 0
-	var pinMu sync.Mutex
-	l.SetCompactPin(func() int {
-		pinMu.Lock()
-		defer pinMu.Unlock()
-		return pin
-	})
-	// Three commit+snapshot rounds at distinct next-IDs: the two retained
-	// snapshots then give compaction a real horizon.
-	for round := 0; round < 3; round++ {
-		for i := round * 20; i < (round+1)*20; i++ {
-			if _, err := st.Put(inst(i, "pin")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := l.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Snapshot(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	segs, err := wal.Segments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) == 0 || segs[0].First != 0 {
-		t.Fatalf("pinned segments = %+v, want the full chain from 0", segs)
-	}
-	pinMu.Lock()
-	pin = -1 // follower gone: nothing pinned
-	pinMu.Unlock()
-	for i := 60; i < 80; i++ {
-		if _, err := st.Put(inst(i, "pin")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	segs, err = wal.Segments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) == 0 || segs[0].First == 0 {
-		t.Fatalf("post-release segments = %+v, want leading segments compacted", segs)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestClientStreamsAndReconnects(t *testing.T) {
 	// First request fails; second serves three messages then EOF. The
 	// client must reconnect, deliver all messages, and honor Stop.
@@ -831,8 +439,8 @@ func TestClientStreamsAndReconnects(t *testing.T) {
 			return
 		}
 		var b []byte
-		b = AppendHello(b, "boot-c", 1, StreamWAL, 0)
-		b = AppendWALRec(b, []byte{0, 'x'})
+		b = AppendHello(b, "boot-c", 1, StreamJournal, 0)
+		b = AppendJournalRec(b, 0, []byte{0, 'x'})
 		b = AppendEOF(b, "bye")
 		w.Write(b) //nolint:errcheck // test server
 	}))
@@ -861,8 +469,8 @@ func TestClientStreamsAndReconnects(t *testing.T) {
 	if seen[0].Type != MsgHello || seen[0].BootID != "boot-c" {
 		t.Fatalf("first message %+v, want hello", seen[0])
 	}
-	if seen[1].Type != MsgWALRec {
-		t.Fatalf("second message %+v, want wal rec", seen[1])
+	if seen[1].Type != MsgJournalRec {
+		t.Fatalf("second message %+v, want journal rec", seen[1])
 	}
 	mu.Lock()
 	if calls < 2 {
@@ -874,7 +482,7 @@ func TestClientStreamsAndReconnects(t *testing.T) {
 func TestClientFatalStops(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var b []byte
-		b = AppendHello(b, "other-boot", 1, StreamWAL, 0)
+		b = AppendHello(b, "other-boot", 1, StreamJournal, 0)
 		w.Write(b) //nolint:errcheck // test server
 	}))
 	defer srv.Close()
@@ -912,51 +520,6 @@ func TestClientFatalStops(t *testing.T) {
 	default:
 		t.Fatal("no error reported via OnState")
 	}
-}
-
-// makeTestRecords encodes n segment records the way the WAL does — via
-// a scratch log — so sink tests feed real on-disk record bytes.
-func makeTestRecords(t *testing.T, n int, name string) [][]byte {
-	t.Helper()
-	dir := t.TempDir()
-	l, st, _, err := wal.Open(dir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if _, err := st.Put(inst(i, name)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := wal.Segments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out [][]byte
-	for _, seg := range segs {
-		data, err := os.ReadFile(seg.Path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for len(data) > 0 {
-			payload, rest, ok := wal.ReadFrame(data)
-			if !ok {
-				t.Fatalf("bad test record in %s", seg.Path)
-			}
-			out = append(out, append([]byte(nil), payload...))
-			data = rest
-		}
-	}
-	if len(out) != n {
-		t.Fatalf("encoded %d records, want %d", len(out), n)
-	}
-	return out
 }
 
 func appendUvarintTest(b []byte, v int) []byte {

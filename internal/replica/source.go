@@ -13,8 +13,6 @@ import (
 
 var (
 	mJournalShipped = obs.GetCounter("replica.source.journal.records")
-	mWALShipped     = obs.GetCounter("replica.source.wal.records")
-	mSnapshots      = obs.GetCounter("replica.source.snapshots.shipped")
 	mFollowers      = obs.GetGauge("replica.source.followers")
 )
 
@@ -27,17 +25,11 @@ type SourceConfig struct {
 	Shards int
 	// JournalPath returns shard i's ingest journal path.
 	JournalPath func(i int) string
-	// WALDir returns shard i's WAL state directory (holding wal/ and
-	// snap/).
-	WALDir func(i int) string
 	// Sealed returns, per shard, the highest sequence number that shard's
 	// journal can no longer gain records at or below — the merge's
 	// emission watermark.
 	Sealed func() []int
-	// WALFrontier returns shard i's next WAL record ID on the primary
-	// (heartbeat lag signal).
-	WALFrontier func(i int) int
-	// Registry tracks followers and feeds the compaction pin.
+	// Registry tracks followers.
 	Registry *Registry
 	// Poll is the file-tail poll cadence (default 50ms).
 	Poll time.Duration
@@ -59,11 +51,10 @@ func (c *SourceConfig) defaults() {
 	}
 }
 
-// Source serves replication streams off the primary's on-disk state. It
-// holds no locks of the serving pipeline: it tails the journal and
-// segment files the appliers write, and consults the sealed-sequence
-// watermark to emit the merged journal in a total order no later append
-// can contradict.
+// Source serves the replication stream off the primary's on-disk state.
+// It holds no locks of the serving pipeline: it tails the journal files
+// the appliers write, and consults the sealed-sequence watermark to emit
+// the merged journal in a total order no later append can contradict.
 type Source struct {
 	cfg    SourceConfig
 	budget int // per-shard journal bytes per merge pass
@@ -93,15 +84,6 @@ func (s *Source) JournalSizes() []int64 {
 	return out
 }
 
-// WALFrontiers returns each shard's next WAL record ID.
-func (s *Source) WALFrontiers() []int {
-	out := make([]int, s.cfg.Shards)
-	for i := range out {
-		out[i] = s.cfg.WALFrontier(i)
-	}
-	return out
-}
-
 // heartbeat encodes the current lag heartbeat.
 func (s *Source) heartbeat(b []byte) []byte {
 	sealed := s.cfg.Sealed()
@@ -111,7 +93,7 @@ func (s *Source) heartbeat(b []byte) []byte {
 			minSealed = v
 		}
 	}
-	return AppendHeartbeat(b, minSealed, s.JournalSizes(), s.WALFrontiers())
+	return AppendHeartbeat(b, minSealed, s.JournalSizes())
 }
 
 // fileTail incrementally reads one append-only framed file through one
@@ -260,7 +242,9 @@ type jrec struct {
 // shard journal's records, merged into global sequence order, each
 // tagged with its owner shard, starting after sequence `from`. The
 // stream tails the files live and ends only on stop (server shutdown)
-// or a write error (follower gone). flush may be nil.
+// or a write error (follower gone); with stop already closed it is one
+// pass that ships everything readable and sealed, then ends. flush may
+// be nil.
 func (s *Source) ServeJournal(w io.Writer, flush func(), followerID string, from int, stop <-chan struct{}) error {
 	s.cfg.Registry.Attach(followerID)
 	defer s.cfg.Registry.Detach(followerID)
@@ -385,283 +369,4 @@ func allTrue(bs []bool) bool {
 		}
 	}
 	return true
-}
-
-// ServeWAL streams one shard's event WAL to a follower from record ID
-// `from`: the latest snapshot first when retention has compacted past
-// the resume point, then every segment record in ID order, tailing the
-// active segment and handing off at rotation. The registry pin is set
-// before the segment listing, so compaction cannot delete a segment
-// between the decision to ship it and the read.
-func (s *Source) ServeWAL(w io.Writer, flush func(), followerID string, shard, from int, stop <-chan struct{}) error {
-	if shard < 0 || shard >= s.cfg.Shards {
-		return fmt.Errorf("replica: no shard %d", shard)
-	}
-	s.cfg.Registry.Attach(followerID)
-	defer s.cfg.Registry.Detach(followerID)
-	s.cfg.Registry.NoteWAL(followerID, shard, from)
-
-	conn := &streamConn{w: w, flush: flush}
-	conn.buf = AppendHello(conn.buf, s.cfg.BootID, s.cfg.Shards, StreamWAL, from)
-	if err := conn.push(); err != nil {
-		return err
-	}
-	sess := &walSession{src: s, conn: conn, followerID: followerID, shard: shard, next: from}
-	return sess.run(stop)
-}
-
-// walSession is one WAL stream's server-side state.
-type walSession struct {
-	src        *Source
-	conn       *streamConn
-	followerID string
-	shard      int
-	dir        string
-	next       int // next record ID to ship
-	tail       *fileTail
-	tailFirst  int  // first ID of the segment tail reads
-	booted     bool // past the snapshot decision
-	stalls     int  // polls with a torn carry while a newer segment exists
-}
-
-// bootstrap decides how the stream starts: from the follower's frontier
-// when segments still cover it, from the latest snapshot otherwise.
-func (w *walSession) bootstrap() error {
-	w.dir = w.src.cfg.WALDir(w.shard)
-	path, snapNext, ok, err := wal.LatestSnapshot(w.dir)
-	if err != nil {
-		return err
-	}
-	if ok && w.next < snapNext {
-		// Records below the snapshot bound may be compacted away; ship the
-		// snapshot file verbatim and resume records at its bound. (Read it
-		// whole up front — the keep-two rule may delete it mid-stream.)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			// Deleted between listing and read: a newer snapshot exists now.
-			path2, next2, ok2, err2 := wal.LatestSnapshot(w.dir)
-			if err2 != nil || !ok2 {
-				return fmt.Errorf("replica: shard %d snapshot vanished: %v", w.shard, err)
-			}
-			if data, err = os.ReadFile(path2); err != nil {
-				return err
-			}
-			snapNext = next2
-		}
-		w.conn.buf = AppendSnapBegin(w.conn.buf, snapNext, int64(len(data)))
-		const chunk = 256 << 10
-		for off := 0; off < len(data); off += chunk {
-			end := min(off+chunk, len(data))
-			w.conn.buf = AppendSnapChunk(w.conn.buf, data[off:end])
-			if err := w.conn.push(); err != nil {
-				return err
-			}
-		}
-		w.conn.buf = AppendSnapEnd(w.conn.buf)
-		if err := w.conn.push(); err != nil {
-			return err
-		}
-		w.next = snapNext
-		mSnapshots.Inc()
-	}
-	w.src.cfg.Registry.NoteWAL(w.followerID, w.shard, w.next)
-	w.booted = true
-	return nil
-}
-
-// openSegmentFor positions the tail on the newest segment whose first ID
-// is at or below next (records before it are already shipped or never
-// existed on this sparse shard). Returns false when no segment exists
-// yet.
-func (w *walSession) openSegmentFor() (bool, error) {
-	segs, err := wal.Segments(w.dir)
-	if err != nil {
-		return false, err
-	}
-	if len(segs) == 0 {
-		return false, nil
-	}
-	idx := 0
-	for i := range segs {
-		if segs[i].First <= w.next {
-			idx = i
-		}
-	}
-	w.tail = &fileTail{path: segs[idx].Path}
-	w.tailFirst = segs[idx].First
-	return true, nil
-}
-
-// advanceSegment hands off to the next segment after the current one,
-// if one exists. Rotation closes a segment before creating its
-// successor, so once a newer segment is listed the current one is
-// complete.
-func (w *walSession) advanceSegment() (bool, error) {
-	segs, err := wal.Segments(w.dir)
-	if err != nil {
-		return false, err
-	}
-	for i := range segs {
-		if segs[i].First > w.tailFirst {
-			w.tail.close()
-			w.tail = &fileTail{path: segs[i].Path}
-			w.tailFirst = segs[i].First
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-func (w *walSession) run(stop <-chan struct{}) error {
-	defer func() {
-		if w.tail != nil {
-			w.tail.close()
-		}
-	}()
-	lastBeat := obs.Now()
-	for {
-		progress, err := w.step()
-		if err != nil {
-			w.conn.buf = AppendEOF(w.conn.buf, err.Error())
-			w.conn.push() //nolint:errcheck // stream is ending either way
-			return err
-		}
-		if progress {
-			w.src.cfg.Registry.NoteWAL(w.followerID, w.shard, w.next)
-			if err := w.conn.push(); err != nil {
-				return err
-			}
-			lastBeat = obs.Now()
-			continue
-		}
-		if obs.Since(lastBeat) >= w.src.cfg.Heartbeat {
-			w.conn.buf = w.src.heartbeat(w.conn.buf)
-			if err := w.conn.push(); err != nil {
-				return err
-			}
-			lastBeat = obs.Now()
-		}
-		select {
-		case <-stop:
-			w.conn.buf = AppendEOF(w.conn.buf, "primary shutting down")
-			w.conn.push() //nolint:errcheck // stream is ending either way
-			return nil
-		case <-time.After(w.src.cfg.Poll):
-		}
-	}
-}
-
-// step makes one unit of progress: bootstrap, open a segment, drain the
-// current segment's new records, or hand off at rotation.
-func (w *walSession) step() (bool, error) {
-	if !w.booted {
-		if err := w.bootstrap(); err != nil {
-			return false, err
-		}
-		return true, nil
-	}
-	if w.tail == nil {
-		ok, err := w.openSegmentFor()
-		return ok, err
-	}
-	progress, _, err := w.tail.fill(0, func(payload []byte) error {
-		id, err := wal.RecordID(payload)
-		if err != nil {
-			return fmt.Errorf("replica: shard %d segment %s: %v", w.shard, w.tail.path, err)
-		}
-		if id < w.next {
-			return nil // below the resume point: already shipped
-		}
-		w.conn.buf = AppendWALRec(w.conn.buf, payload)
-		w.next = id + 1
-		mWALShipped.Inc()
-		if len(w.conn.buf) >= 1<<16 {
-			return w.conn.push()
-		}
-		return nil
-	})
-	if err != nil {
-		return progress, err
-	}
-	if progress {
-		w.stalls = 0
-		return true, nil
-	}
-	// No new bytes. If rotation moved on, hand off — but only once the
-	// carry is empty: a torn frame must complete in place first, and a
-	// torn frame in a rotated-away (immutable) segment is corruption.
-	if w.tail.n == 0 {
-		ok, err := w.advanceSegment()
-		return ok, err
-	}
-	advanced, err := w.advanceable()
-	if err != nil {
-		return false, err
-	}
-	if advanced {
-		w.stalls++
-		if w.stalls > 200 {
-			return false, fmt.Errorf("replica: shard %d segment %s torn mid-stream", w.shard, w.tail.path)
-		}
-	}
-	return false, nil
-}
-
-// advanceable reports whether a segment newer than the current one
-// exists (the hand-off condition, checked while a torn carry blocks it).
-func (w *walSession) advanceable() (bool, error) {
-	segs, err := wal.Segments(w.dir)
-	if err != nil {
-		return false, err
-	}
-	for i := range segs {
-		if segs[i].First > w.tailFirst {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// ShipWALOnce streams shard state under dir — the latest snapshot if
-// `from` predates the oldest retained record, then every flushed segment
-// record with ID >= the resume point — to w, and returns without
-// tailing. It is the chaos harness's deterministic, single-shot form of
-// ServeWAL, sharing walSession's bootstrap and scan.
-func ShipWALOnce(dir string, bootID string, from int, w io.Writer) (next int, err error) {
-	conn := &streamConn{w: w}
-	conn.buf = AppendHello(conn.buf, bootID, 1, StreamWAL, from)
-	if err := conn.push(); err != nil {
-		return from, err
-	}
-	reg := NewRegistry(1, time.Hour)
-	reg.Attach("once")
-	src := NewSource(SourceConfig{
-		BootID: bootID, Shards: 1,
-		JournalPath: func(int) string { return "" },
-		WALDir:      func(int) string { return dir },
-		Sealed:      func() []int { return []int{-1} },
-		WALFrontier: func(int) int { return 0 },
-		Registry:    reg,
-	})
-	sess := &walSession{src: src, conn: conn, followerID: "once", shard: 0, next: from}
-	for {
-		progress, err := sess.step()
-		if err != nil {
-			return sess.next, err
-		}
-		if !progress {
-			break
-		}
-		if err := conn.push(); err != nil {
-			return sess.next, err
-		}
-	}
-	if sess.tail != nil {
-		sess.tail.close()
-	}
-	conn.buf = AppendEOF(conn.buf, "complete")
-	if err := conn.push(); err != nil {
-		return sess.next, err
-	}
-	return sess.next, nil
 }

@@ -145,8 +145,8 @@ func (r *Rollup) ObserveEvent(in *event.Instance) {
 }
 
 // SeedEvents replays every live instance of the store into the event
-// bins — the recovery path, where the store was rebuilt from snapshot +
-// WAL before the rollup existed. Register the hooks after seeding.
+// bins — the recovery path, where the store was rebuilt by journal
+// replay before the rollup existed. Register the hooks after seeding.
 func (r *Rollup) SeedEvents(st store.Store) {
 	_, _, ins := st.Dump()
 	for i := range ins {

@@ -10,7 +10,9 @@ import (
 
 	"grca/internal/apps/cdn"
 	"grca/internal/event"
+	"grca/internal/ingestlog"
 	"grca/internal/locus"
+	"grca/internal/obs"
 )
 
 // batch is one dispatched ingest batch moving through the commit
@@ -40,7 +42,7 @@ type batch struct {
 	errSt int
 }
 
-// fail records the batch's first commit error (journal, store, WAL);
+// fail records the batch's first commit error (journal or store);
 // the finisher turns it into the reply.
 func (bt *batch) fail(status int, err error) {
 	bt.errMu.Lock()
@@ -108,9 +110,9 @@ func (s *Server) admit(t *task) (*batch, taskResult) {
 	default:
 	}
 	switch t.kind {
-	case recFeed:
+	case ingestlog.Feed:
 		return s.dispatchFeed(t)
-	case recFinalize:
+	case ingestlog.Finalize:
 		return s.dispatchFinalize()
 	default:
 		return s.dispatchEvents(t)
@@ -218,7 +220,7 @@ func (s *Server) dispatchEvents(t *task) (*batch, taskResult) {
 		st.pos = append(st.pos, j)
 	}
 	owner := routes[0] // non-empty: guarded at the top
-	subs[owner].jrec = encodeRecord(seq, t.kind, "", t.raw)
+	subs[owner].jrec = ingestlog.Encode(seq, t.kind, "", t.raw)
 	subs[owner].jseq = seq
 	s.sealer.assign(owner, seq)
 	for i, st := range subs {
@@ -234,9 +236,9 @@ func (s *Server) dispatchEvents(t *task) (*batch, taskResult) {
 // state is a single shared structure, so feeds serialize on dispatchMu
 // by design (they are the bulk-load phase, not the streaming fast
 // path). The barrier first drains every shard queue — the collector's
-// Adds go straight to the shards, and each shard's WAL requires IDs to
-// arrive in order, so all lower-ID queued events must be committed
-// before the feed allocates higher ones.
+// Adds go straight to the shards, and a shard applies IDs in order, so
+// all lower-ID queued events must be committed before the feed
+// allocates higher ones.
 func (s *Server) dispatchFeed(t *task) (*batch, taskResult) {
 	if s.isFinalized() {
 		return nil, errResult(http.StatusConflict, "feeds are closed: the system is finalized (use events)")
@@ -256,13 +258,13 @@ func (s *Server) dispatchFeed(t *task) (*batch, taskResult) {
 	s.barrier()
 	seq := s.seq
 	s.seq++
-	bt := &batch{seq: seq, kind: recFeed, ready: closedChan, reply: make(chan taskResult, 1)}
+	bt := &batch{seq: seq, kind: ingestlog.Feed, ready: closedChan, reply: make(chan taskResult, 1)}
 	// The fsynced journal append is the commit point; it precedes the
 	// apply so an invalid batch is journaled too — replay hits the same
 	// deterministic parse error and converges on the same state.
-	rec := encodeRecord(seq, recFeed, t.source, t.lines)
+	rec := ingestlog.Encode(seq, ingestlog.Feed, t.source, t.lines)
 	s.sealer.assign(0, seq)
-	err := s.shards[0].jour.Append(rec)
+	err := appendCommit(s.shards[0].jour, rec)
 	s.sealer.done(0, seq)
 	if err != nil {
 		bt.res = errResult(http.StatusInternalServerError, "journal: %v", err)
@@ -276,11 +278,6 @@ func (s *Server) dispatchFeed(t *task) (*batch, taskResult) {
 		stored := s.st.NextID() - before
 		mEvents.Add(int64(stored))
 		bt.res = taskResult{status: http.StatusOK, resp: IngestResponse{Stored: stored}}
-	}
-	for _, sh := range s.shards {
-		if err := sh.log.Commit(); err != nil && bt.res.err == nil {
-			bt.res = errResult(http.StatusInternalServerError, "wal: %v", err)
-		}
 	}
 	s.finishQ <- bt
 	return bt, taskResult{}
@@ -299,9 +296,9 @@ func (s *Server) dispatchFinalize() (*batch, taskResult) {
 	s.waitFinisher()
 	seq := s.seq
 	s.seq++
-	bt := &batch{seq: seq, kind: recFinalize, ready: closedChan, reply: make(chan taskResult, 1)}
+	bt := &batch{seq: seq, kind: ingestlog.Finalize, ready: closedChan, reply: make(chan taskResult, 1)}
 	s.sealer.assign(0, seq)
-	err := s.shards[0].jour.Append(encodeRecord(seq, recFinalize, "", nil))
+	err := appendCommit(s.shards[0].jour, ingestlog.Encode(seq, ingestlog.Finalize, "", nil))
 	s.sealer.done(0, seq)
 	if err != nil {
 		bt.res = errResult(http.StatusInternalServerError, "journal: %v", err)
@@ -309,11 +306,6 @@ func (s *Server) dispatchFinalize() (*batch, taskResult) {
 		return bt, taskResult{}
 	}
 	bt.res = s.applyFinalize()
-	for _, sh := range s.shards {
-		if err := sh.log.Commit(); err != nil && bt.res.err == nil {
-			bt.res = errResult(http.StatusInternalServerError, "wal: %v", err)
-		}
-	}
 	s.finishQ <- bt
 	return bt, taskResult{}
 }
@@ -354,11 +346,11 @@ func (s *Server) waitFinisher() {
 }
 
 // applier is shard sh's single writer: it drains the queue into commit
-// groups so the journal fsync, the store inserts, and the WAL commit
-// are each amortized across every batch already waiting — group commit
-// per shard, with the bounded queue as the wait window, so fsync
-// amortization grows exactly when load does. A barrier ends its group:
-// the dispatcher is waiting on it and nothing can be queued behind it.
+// groups so the journal fsync is amortized across every batch already
+// waiting — group commit per shard, with the bounded queue as the wait
+// window, so fsync amortization grows exactly when load does. A barrier
+// ends its group: the dispatcher is waiting on it and nothing can be
+// queued behind it.
 func (s *Server) applier(sh *shard) {
 	defer close(sh.done)
 	for {
@@ -390,12 +382,12 @@ func (s *Server) applier(sh *shard) {
 
 // applyShardGroup commits one group on one shard: stage the journal
 // records this shard owns, fsync once (each batch's commit point),
-// insert every event into the store (feeding the shard's WAL buffer),
-// commit the WAL once, then count each batch down. Insertions proceed
-// even for a batch whose journal append failed — its shards must stay
-// mutually consistent and its reply is an error either way; the next
-// restart reconciles the store against the journals and rebuilds.
+// insert every event into the store, then count each batch down.
+// Insertions proceed even for a batch whose journal append failed — its
+// shards must stay mutually consistent and its reply is an error either
+// way; the next restart rebuilds the store from what the journals hold.
 func (s *Server) applyShardGroup(sh *shard, group []shardTask) {
+	began := obs.Now()
 	var jerr error
 	staged := 0
 	for i := range group {
@@ -421,6 +413,9 @@ func (s *Server) applyShardGroup(sh *shard, group []shardTask) {
 					group[i].bt.fail(http.StatusInternalServerError, fmt.Errorf("journal: %v", err))
 				}
 			}
+		} else {
+			mFsyncs.Inc()
+			mCommitSecs.ObserveDuration(obs.Since(began))
 		}
 	}
 	// Every owned record's fate is settled — durably journaled, or failed
@@ -439,13 +434,6 @@ func (s *Server) applyShardGroup(sh *shard, group []shardTask) {
 				continue
 			}
 			t.bt.stored[t.pos[j]] = stored
-		}
-	}
-	if err := sh.log.Commit(); err != nil {
-		for i := range group {
-			if group[i].wait == nil {
-				group[i].bt.fail(http.StatusInternalServerError, fmt.Errorf("wal: %v", err))
-			}
 		}
 	}
 	for i := range group {
@@ -471,7 +459,7 @@ func (s *Server) finisher() {
 	for bt := range s.finishQ {
 		<-bt.ready
 		switch bt.kind {
-		case recEvents, recEventsWire:
+		case ingestlog.Events, ingestlog.EventsWire:
 			if status, err := bt.firstErr(); err != nil {
 				bt.res = taskResult{status: status, err: err}
 			} else {

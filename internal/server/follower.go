@@ -9,42 +9,36 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"grca/internal/conf"
 	"grca/internal/event"
-	"grca/internal/locus"
+	"grca/internal/ingestlog"
 	"grca/internal/obs"
 	"grca/internal/replica"
-	"grca/internal/rollup"
 	"grca/internal/wal"
-	"grca/internal/wire"
 )
 
-// followerState is the replica-only half of a Server: the stream
-// clients, the per-shard WAL sinks, and the lag bookkeeping. The live
-// store is the same scratch pipeline crash recovery builds — the
-// follower IS a recovery that never stops replaying.
+// followerState is the replica-only half of a Server: the journal
+// stream client and the lag bookkeeping. The live store is the one the
+// journal replay built at Open — the follower IS a recovery that never
+// stops replaying.
 type followerState struct {
 	primary string // primary base URL, no trailing slash
 	id      string // stable follower stream ID (REPLICA file)
 	bootID  string // primary incarnation being replicated
 
-	sinks   []*replica.WALSink
-	clients []*replica.Client
+	client *replica.Client
 
 	appliedSeq atomic.Int64 // last journal sequence applied (and locally journaled)
-	walNext    []atomic.Int64
 
-	// sealed means the clients are stopped and the local journals and
-	// sinks are closed; sealOnce makes the seal idempotent between
-	// Promote and Shutdown, and promoteOnce serializes promotion without
-	// holding any lock across the reopen (which acquires the whole
-	// pipeline's lock set — a mutex here would nest above all of them).
+	// sealed means the client is stopped and the local journals are
+	// closed; sealOnce makes the seal idempotent between Promote and
+	// Shutdown, and promoteOnce serializes promotion without holding any
+	// lock across the reopen (which acquires the whole pipeline's lock
+	// set — a mutex here would nest above all of them).
 	sealed      atomic.Bool
 	sealOnce    sync.Once
 	sealErr     error
@@ -54,11 +48,10 @@ type followerState struct {
 	promoteErr  error
 
 	mu        sync.Mutex
-	hb        replica.Msg // last heartbeat, any stream
+	hb        replica.Msg // last heartbeat
 	hbAt      time.Time
 	lastMsg   time.Time
 	streamErr error
-	snapBoots []int
 }
 
 // promotedNode is the primary a promoted replica delegates to.
@@ -75,8 +68,7 @@ type PromoteInfo struct {
 	BootID string `json:"boot_id"`
 	// AppliedSeq is the last stream sequence applied before the seal.
 	AppliedSeq int `json:"applied_seq"`
-	// Recovery is the reopen's reconciliation report: WALRebuilt is the
-	// per-shard digest check's verdict on the shipped WAL state.
+	// Recovery is the reopen's replay report.
 	Recovery RecoveryInfo `json:"recovery"`
 	// Digests are the promoted store's per-shard digests.
 	Digests []string `json:"digests"`
@@ -120,9 +112,9 @@ func fetchPrimaryMeta(base string) (ReplicationMetaJSON, error) {
 }
 
 // prepareReplicaState reconciles the data dir with the primary
-// incarnation: same boot ID resumes the shipped state, a different one
-// wipes it (sequences may have been renumbered; shipped history can
-// only be replaced). Returns this follower's stable stream ID.
+// incarnation: same boot ID resumes the shipped journals, a different
+// one wipes them (sequences may have been renumbered; shipped history
+// can only be replaced). Returns this follower's stable stream ID.
 func prepareReplicaState(dataDir string, n int, bootID string) (string, error) {
 	path := replicaFile(dataDir)
 	id := ""
@@ -137,16 +129,10 @@ func prepareReplicaState(dataDir string, n int, bootID string) (string, error) {
 			}
 		}
 		// Boot ID changed (or the marker is malformed): drop every shard's
-		// shipped journal, WAL, and snapshot state and resync from scratch.
+		// shipped journal and resync from scratch.
 		for i := 0; i < n; i++ {
-			dir := shardDir(dataDir, n, i)
-			if err := os.Remove(journalPath(dir)); err != nil && !os.IsNotExist(err) {
+			if err := os.Remove(journalPath(shardDir(dataDir, n, i))); err != nil && !os.IsNotExist(err) {
 				return "", err
-			}
-			for _, sub := range []string{"wal", "snap"} {
-				if err := os.RemoveAll(filepath.Join(dir, sub)); err != nil {
-					return "", err
-				}
 			}
 		}
 	case !os.IsNotExist(err):
@@ -161,122 +147,29 @@ func prepareReplicaState(dataDir string, n int, bootID string) (string, error) {
 	return id, nil
 }
 
-// openFollower opens the service as a live read replica: replay the
-// locally shipped journals exactly as crash recovery would, then keep
-// applying the primary's merged journal stream through the same path
-// while per-shard WAL streams materialize segment state on disk for a
-// later promotion.
-func openFollower(cfg Config) (*Server, error) {
-	n := cfg.Shards
-	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
-		return nil, err
-	}
+// newFollowerState binds a replica's data dir to the primary at
+// cfg.ReplicaOf: fetch its rendezvous document, check the shard count,
+// and resync the local journals if the primary's incarnation changed.
+func newFollowerState(cfg Config) (*followerState, error) {
 	primary := strings.TrimRight(cfg.ReplicaOf, "/")
 	meta, err := fetchPrimaryMeta(primary)
 	if err != nil {
 		return nil, err
 	}
-	if meta.Shards != n {
-		return nil, fmt.Errorf("server: primary %s runs %d shards, replica configured with %d", primary, meta.Shards, n)
+	if meta.Shards != cfg.Shards {
+		return nil, fmt.Errorf("server: primary %s runs %d shards, replica configured with %d", primary, meta.Shards, cfg.Shards)
 	}
-	id, err := prepareReplicaState(cfg.DataDir, n, meta.BootID)
+	id, err := prepareReplicaState(cfg.DataDir, cfg.Shards, meta.BootID)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkShardMarker(cfg.DataDir, n); err != nil {
-		return nil, err
-	}
-	topo, err := conf.Parse(cfg.Bundle.Configs, cfg.Bundle.Inventory)
-	if err != nil {
-		return nil, fmt.Errorf("server: config archive: %v", err)
-	}
-	rep, err := replayJournals(cfg, topo)
-	if err != nil {
-		return nil, err
-	}
-
-	fs := &followerState{
-		primary:   primary,
-		id:        id,
-		bootID:    meta.BootID,
-		sinks:     make([]*replica.WALSink, n),
-		walNext:   make([]atomic.Int64, n),
-		snapBoots: make([]int, n),
-	}
-	fs.appliedSeq.Store(int64(rep.maxSeq))
-
-	// Shard entries carry the live store shard and the local slice of the
-	// shipped journal; there is no WAL, queue, or applier — the journal
-	// stream's apply goroutine is the only writer.
-	shards := make([]*shard, n)
-	opened := false
-	defer func() {
-		if opened {
-			return
-		}
-		for _, sh := range shards {
-			if sh != nil {
-				sh.jour.Close() //nolint:errcheck // being discarded
-			}
-		}
-		for _, sk := range fs.sinks {
-			if sk != nil {
-				sk.Close() //nolint:errcheck // being discarded
-			}
-		}
-	}()
-	for i := range shards {
-		dir := shardDir(cfg.DataDir, n, i)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
-		}
-		jour, err := wal.OpenJournal(journalPath(dir))
-		if err != nil {
-			return nil, err
-		}
-		shards[i] = &shard{st: rep.shards[i], jour: jour, idx: i}
-		sink, err := replica.OpenWALSink(dir, 0)
-		if err != nil {
-			return nil, err
-		}
-		fs.sinks[i] = sink
-		fs.walNext[i].Store(int64(sink.Frontier()))
-	}
-
-	s := &Server{
-		cfg: cfg, topo: topo, shards: shards, st: rep.scratch, coll: rep.coll,
-		roll:       rollup.New(rollup.Config{}),
-		hub:        newSSEHub(),
-		seq:        rep.maxSeq + 1,
-		routeCache: map[locus.Location]int{},
-		closing:    make(chan struct{}),
-		follower:   fs,
-		recovery: RecoveryInfo{
-			Batches: rep.batches, Finalized: rep.finalized,
-			Events: rep.scratch.Len(), Shards: n,
-		},
-	}
-	s.finishCond = sync.NewCond(&s.finishMu)
-	s.roll.SeedEvents(s.st)
-	s.st.OnAppend(s.roll.ObserveEvent)
-	s.st.OnEvict(s.roll.EvictEvents)
-	if rep.finalized {
-		if err := s.installServing(true); err != nil {
-			return nil, err
-		}
-	}
-	mRecovered.Add(int64(rep.batches))
-	mReplSeq.Set(int64(rep.maxSeq))
-	opened = true
-	s.startFollowerClients()
-	return s, nil
+	return &followerState{primary: primary, id: id, bootID: meta.BootID}, nil
 }
 
-// startFollowerClients launches the journal stream client and one WAL
-// stream client per shard.
-func (s *Server) startFollowerClients() {
+// startFollowerClient launches the journal stream client.
+func (s *Server) startFollowerClient() {
 	fs := s.follower
-	jc := &replica.Client{
+	fs.client = &replica.Client{
 		URL: func(from int) string {
 			return fmt.Sprintf("%s/v1/replication/journal?id=%s&from=%d",
 				fs.primary, url.QueryEscape(fs.id), from)
@@ -285,31 +178,14 @@ func (s *Server) startFollowerClients() {
 		Handle:  s.handleJournalMsg,
 		OnState: fs.noteState,
 	}
-	fs.clients = append(fs.clients, jc)
-	for i := range s.shards {
-		shard := i
-		sink := fs.sinks[i]
-		wc := &replica.Client{
-			URL: func(from int) string {
-				return fmt.Sprintf("%s/v1/replication/wal?id=%s&shard=%d&from=%d",
-					fs.primary, url.QueryEscape(fs.id), shard, from)
-			},
-			From:    sink.Frontier,
-			Handle:  func(m replica.Msg) error { return s.handleWALMsg(shard, m) },
-			OnState: fs.noteState,
-		}
-		fs.clients = append(fs.clients, wc)
-	}
-	for _, c := range fs.clients {
-		c.Start()
-	}
+	fs.client.Start()
 }
 
-// checkHello validates a stream's opening frame against the incarnation
-// this follower is bound to. Any mismatch is fatal — reconnecting into
-// the same primary cannot fix it; the operator restarts the replica,
-// which resyncs via prepareReplicaState.
-func (fs *followerState) checkHello(m replica.Msg, stream byte, shards int) error {
+// checkHello validates the stream's opening frame against the
+// incarnation this follower is bound to. Any mismatch is fatal —
+// reconnecting into the same primary cannot fix it; the operator
+// restarts the replica, which resyncs via prepareReplicaState.
+func (fs *followerState) checkHello(m replica.Msg, shards int) error {
 	if m.Ver != replica.ProtocolVersion {
 		return fmt.Errorf("primary speaks protocol %d, this replica %d", m.Ver, replica.ProtocolVersion)
 	}
@@ -319,7 +195,7 @@ func (fs *followerState) checkHello(m replica.Msg, stream byte, shards int) erro
 	if m.Shards != shards {
 		return fmt.Errorf("primary reports %d shards, replica runs %d", m.Shards, shards)
 	}
-	if m.Stream != stream {
+	if m.Stream != replica.StreamJournal {
 		return fmt.Errorf("wrong stream kind %q", m.Stream)
 	}
 	return nil
@@ -332,7 +208,7 @@ func (s *Server) handleJournalMsg(m replica.Msg) error {
 	fs := s.follower
 	switch m.Type {
 	case replica.MsgHello:
-		if err := fs.checkHello(m, replica.StreamJournal, len(s.shards)); err != nil {
+		if err := fs.checkHello(m, len(s.shards)); err != nil {
 			return replica.Fatal(err)
 		}
 	case replica.MsgJournalRec:
@@ -361,14 +237,14 @@ func (s *Server) handleJournalMsg(m replica.Msg) error {
 // incrementally, under dispatchMu so reads never see a half-applied
 // batch.
 func (s *Server) applyJournalRecord(shard int, rec []byte) error {
-	seq, kind, source, body, err := decodeJournalRecord(rec)
+	r, err := ingestlog.Decode(rec)
 	if err != nil {
 		return err
 	}
 	s.dispatchMu.Lock()
 	defer s.dispatchMu.Unlock()
 	fs := s.follower
-	if seq <= int(fs.appliedSeq.Load()) {
+	if r.Seq <= int(fs.appliedSeq.Load()) {
 		return nil // reconnect overlap: already journaled and applied
 	}
 	// Local journal first: the live store is rebuilt from the journals at
@@ -377,89 +253,30 @@ func (s *Server) applyJournalRecord(shard int, rec []byte) error {
 	if err := s.shards[shard].jour.AppendNoSync(rec); err != nil {
 		return err
 	}
-	switch kind {
-	case recFeed:
+	switch r.Kind {
+	case ingestlog.Feed:
 		// Parse errors are deterministic and already answered by the
 		// primary; state after the partial ingest is identical either way.
-		s.coll.Ingest(source, bytes.NewReader(body)) //nolint:errcheck // see above
-	case recFinalize:
+		s.coll.Ingest(r.Source, bytes.NewReader(r.Body)) //nolint:errcheck // see above
+	case ingestlog.Finalize:
 		if res := s.applyFinalize(); res.err != nil {
 			return res.err
 		}
-	case recEvents:
-		var evs []EventJSON
-		if err := json.Unmarshal(body, &evs); err != nil {
-			return err
-		}
-		stored := make([]*event.Instance, 0, len(evs))
-		for _, ej := range evs {
-			in, err := ej.instance()
-			if err != nil {
-				return err
-			}
-			stored = append(stored, s.st.Add(in))
-		}
-		s.observeStored(stored)
-	case recEventsWire:
-		b, err := wire.Decode(body)
+	default:
+		evs, err := recordEvents(r)
 		if err != nil {
 			return err
 		}
-		if b.Kind != wire.KindEvents {
-			return fmt.Errorf("journaled wire kind %d, want events", b.Kind)
-		}
-		stored := make([]*event.Instance, 0, len(b.Events))
-		for i := range b.Events {
-			stored = append(stored, s.st.Add(b.Events[i]))
+		stored := make([]*event.Instance, 0, len(evs))
+		for i := range evs {
+			stored = append(stored, s.st.Add(evs[i]))
 		}
 		s.observeStored(stored)
-	default:
-		return fmt.Errorf("unknown journal record kind %d", kind)
 	}
-	s.seq = seq + 1
-	fs.appliedSeq.Store(int64(seq))
+	s.seq = r.Seq + 1
+	fs.appliedSeq.Store(int64(r.Seq))
 	mReplApplied.Inc()
-	mReplSeq.Set(int64(seq))
-	return nil
-}
-
-// handleWALMsg feeds one WAL-stream message into shard's sink. Runs on
-// that shard's WAL client goroutine — the sink's only user.
-func (s *Server) handleWALMsg(shard int, m replica.Msg) error {
-	fs := s.follower
-	sink := fs.sinks[shard]
-	var err error
-	switch m.Type {
-	case replica.MsgHello:
-		if e := fs.checkHello(m, replica.StreamWAL, len(s.shards)); e != nil {
-			return replica.Fatal(e)
-		}
-	case replica.MsgWALRec:
-		err = sink.WriteRecord(m.Rec)
-	case replica.MsgSnapBegin:
-		err = sink.BeginSnapshot(m.Next, m.Size)
-		if err == nil {
-			fs.mu.Lock()
-			fs.snapBoots[shard]++
-			fs.mu.Unlock()
-		}
-	case replica.MsgSnapChunk:
-		err = sink.WriteSnapshotChunk(m.Chunk)
-	case replica.MsgSnapEnd:
-		err = sink.EndSnapshot()
-	case replica.MsgHeartbeat:
-		fs.noteHeartbeat(m)
-		err = sink.Sync()
-	case replica.MsgEOF:
-	default:
-		return replica.Fatal(fmt.Errorf("unexpected message type %d on the WAL stream", m.Type))
-	}
-	if err != nil {
-		// Sink failures (disk, protocol misuse) do not heal by reconnecting.
-		return replica.Fatal(err)
-	}
-	fs.walNext[shard].Store(int64(sink.Frontier()))
-	fs.noteMsg()
+	mReplSeq.Set(int64(r.Seq))
 	return nil
 }
 
@@ -471,7 +288,7 @@ func (fs *followerState) noteMsg() {
 
 func (fs *followerState) noteHeartbeat(m replica.Msg) {
 	fs.mu.Lock()
-	fs.hb = m // JournalBytes/WALNext are fresh allocations, safe to retain
+	fs.hb = m // JournalBytes is a fresh allocation, safe to retain
 	fs.hbAt = obs.Now()
 	fs.lastMsg = fs.hbAt
 	fs.mu.Unlock()
@@ -484,10 +301,9 @@ func (fs *followerState) noteState(err error) {
 	fs.mu.Unlock()
 }
 
-// updateLag refreshes the follower lag gauges from a heartbeat: bytes of
-// journal not yet shipped, WAL records not yet sunk.
+// updateLag refreshes the follower lag gauge from a heartbeat: bytes of
+// journal not yet shipped.
 func (s *Server) updateLag(hb replica.Msg) {
-	fs := s.follower
 	var lagBytes int64
 	for i := range s.shards {
 		if i >= len(hb.JournalBytes) {
@@ -501,17 +317,7 @@ func (s *Server) updateLag(hb replica.Msg) {
 			lagBytes += d
 		}
 	}
-	var lagRecs int64
-	for i := range s.shards {
-		if i >= len(hb.WALNext) {
-			break
-		}
-		if d := int64(hb.WALNext[i]) - fs.walNext[i].Load(); d > 0 {
-			lagRecs += d
-		}
-	}
 	mReplLagBytes.Set(lagBytes)
-	mReplLagRecs.Set(lagRecs)
 }
 
 // syncFollowerJournals fsyncs the local journals at heartbeat cadence
@@ -529,18 +335,14 @@ func (s *Server) syncFollowerJournals() {
 
 func (fs *followerState) isSealed() bool { return fs.sealed.Load() }
 
-// sealFollower stops the stream clients and closes the local journals
-// and sinks; after it returns no goroutine touches follower disk state.
+// sealFollower stops the stream client and closes the local journals;
+// after it returns no goroutine touches follower disk state.
 // Idempotent (sealOnce); called by Promote and Shutdown.
 func (s *Server) sealFollower() error {
 	fs := s.follower
 	fs.sealOnce.Do(func() {
-		for _, c := range fs.clients {
-			c.Stop()
-		}
-		for _, c := range fs.clients {
-			c.Wait()
-		}
+		fs.client.Stop()
+		fs.client.Wait()
 		var err error
 		s.dispatchMu.Lock() // exclude a final in-flight apply's journal write
 		fs.sealed.Store(true)
@@ -553,22 +355,15 @@ func (s *Server) sealFollower() error {
 			}
 		}
 		s.dispatchMu.Unlock()
-		for _, sk := range fs.sinks {
-			if e := sk.Close(); e != nil && err == nil {
-				err = e
-			}
-		}
 		fs.sealErr = err
 	})
 	return fs.sealErr
 }
 
-// Promote turns this replica into a primary: seal the streams, then
+// Promote turns this replica into a primary: seal the stream, then
 // reopen the data directory exactly as a restarting primary would. The
-// reopen's journal-vs-WAL reconciliation is the promotion's digest
-// verification — every shard whose shipped WAL state disagrees with the
-// shipped journal history is rebuilt from the journals, so the promoted
-// store always equals a clean single-node replay of the same journal.
+// reopen replays the shipped journals, so the promoted store is by
+// construction a clean single-node replay of the same journal history.
 // The promoted server takes over request handling atomically; this
 // server's handler delegates to it from then on.
 func (s *Server) Promote() (PromoteInfo, error) {
@@ -613,7 +408,7 @@ func (s *Server) promote() (PromoteInfo, error) {
 	return info, nil
 }
 
-// shutdownFollower is Shutdown's replica path: seal the streams, close
+// shutdownFollower is Shutdown's replica path: seal the stream, close
 // the processors, and shut the promoted primary down if one exists.
 func (s *Server) shutdownFollower(ctx context.Context, err error) error {
 	fs := s.follower
@@ -645,7 +440,6 @@ func (s *Server) shutdownFollower(ctx context.Context, err error) error {
 func (fs *followerState) status(s *Server) ReplicationStatusJSON {
 	fs.mu.Lock()
 	hb, hbAt, lastMsg, serr := fs.hb, fs.hbAt, fs.lastMsg, fs.streamErr
-	snapBoots := append([]int(nil), fs.snapBoots...)
 	fs.mu.Unlock()
 	applied := int(fs.appliedSeq.Load())
 	st := ReplicationStatusJSON{
@@ -677,8 +471,6 @@ func (fs *followerState) status(s *Server) ReplicationStatusJSON {
 	for i := 0; i < n; i++ {
 		lag := ReplicaShardLag{
 			Shard:           i,
-			WALNext:         int(fs.walNext[i].Load()),
-			SnapBootstraps:  snapBoots[i],
 			StreamConnected: serr == nil && !lastMsg.IsZero(),
 		}
 		if fi, err := os.Stat(journalPath(shardDir(s.cfg.DataDir, n, i))); err == nil {
@@ -688,12 +480,6 @@ func (fs *followerState) status(s *Server) ReplicationStatusJSON {
 			lag.PrimaryJournal = hb.JournalBytes[i]
 			if d := lag.PrimaryJournal - lag.JournalBytes; d > 0 {
 				lag.LagBytes = d
-			}
-		}
-		if i < len(hb.WALNext) {
-			lag.PrimaryWALNext = hb.WALNext[i]
-			if d := lag.PrimaryWALNext - lag.WALNext; d > 0 {
-				lag.WALLag = d
 			}
 		}
 		st.ShardLag = append(st.ShardLag, lag)

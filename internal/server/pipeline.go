@@ -1,37 +1,31 @@
 // Package server turns the G-RCA pipeline into a durable, network-facing
 // diagnosis service: the paper's platform ran as a shared system that
 // applications fed continuously and queried on demand (§II), and this
-// package is that shape — an HTTP/JSON API over a WAL-backed event store.
+// package is that shape — an HTTP/JSON API over a journal-backed event
+// store.
 //
 // # Durability model
 //
 // The store is split into N independent shards (Config.Shards), each a
-// complete lane of the write path with its own lock, WAL segment
-// directory, snapshot directory, ingest journal, and applier goroutine.
-// Two append-only structures per shard carry the state:
+// complete lane of the write path with its own lock, ingest journal
+// (journal.log), and applier goroutine. The journals are the only
+// durable structure. They hold the accepted ingest batches — raw feed
+// lines or normalized-event bodies — plus the finalize marker, each
+// record in the journal of the one shard that owns it and stamped with
+// the batch's global sequence number, so the shard journals merged by
+// sequence are the total ingest history in commit order
+// (internal/ingestlog). The collector's parse state (routing
+// simulations, pairing buffers, rolling baselines) is a function of raw
+// input, not of normalized events, so the raw batches are also what any
+// store must be rebuilt from.
 //
-//   - The event WAL (internal/wal): every normalized instance added to
-//     the shard, with snapshots and compaction. It recovers the shard
-//     byte-identically and fast.
-//   - The ingest journal (journal.log): accepted ingest batches — raw
-//     feed lines or normalized-event bodies — plus the finalize marker.
-//     Every record carries the batch's global sequence number, so the
-//     union of all shard journals, sorted by sequence, is the total
-//     ingest history in commit order. The collector's parse state
-//     (routing simulations, pairing buffers, rolling baselines) is a
-//     function of raw input, not of normalized events, so restart
-//     recovery replays this merged journal through a fresh collector.
-//
-// A batch's journal append (fsynced, on the one shard that owns its
-// record) is its commit point; the per-shard WAL commits follow it. On
-// startup all shards are reconciled: the merged journal replays into a
-// scratch sharded pipeline, and each scratch shard's digest must equal
-// the corresponding WAL-recovered shard's. A mismatch — a crash between
-// journal fsync and WAL commit, a lost shard directory, or corruption —
-// rebuilds that shard's WAL from the journal replay, so recovery always
-// converges on the journals' committed batch set. See DESIGN.md §15 for
-// the ID-renumbering caveat when unacknowledged batches are torn out of
-// the middle of the sequence.
+// A batch's fsynced journal append is its commit point. On startup the
+// merged journals replay, streaming, through a fresh collector into a
+// fresh sharded store, and that store is the one the service runs on:
+// there is nothing to reconcile. Restart cost is therefore proportional
+// to the journaled history (checkpoints that bound it are an open
+// item). See DESIGN.md §15 for the ID-renumbering caveat when
+// unacknowledged batches are torn out of the middle of the sequence.
 //
 // # Pipeline
 //
@@ -42,17 +36,16 @@
 // is full the handler answers 429 with a depth-derived Retry-After
 // instead of buffering, before any ID is allocated, so memory stays
 // bounded and IDs stay dense under overload. Per-shard applier
-// goroutines drain their queues in commit groups (journal fsync, store
-// inserts, WAL commit — each amortized across every batch waiting), and
-// a single finisher goroutine joins the shards' completions back into
-// sequence order to run the streaming processors and reply — so
-// responses are byte-identical for every shard count. Reads (diagnose,
-// events, stats) bypass the queues and scatter-gather the shards.
+// goroutines drain their queues in commit groups (one journal fsync for
+// every batch waiting, then the store inserts), and a single finisher
+// goroutine joins the shards' completions back into sequence order to
+// run the streaming processors and reply — so responses are
+// byte-identical for every shard count. Reads (diagnose, events, stats)
+// bypass the queues and scatter-gather the shards.
 package server
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -74,6 +67,7 @@ import (
 	"grca/internal/dgraph"
 	"grca/internal/engine"
 	"grca/internal/event"
+	"grca/internal/ingestlog"
 	"grca/internal/locus"
 	"grca/internal/netmodel"
 	"grca/internal/netstate"
@@ -93,47 +87,24 @@ var (
 	mRejected   = obs.GetCounter("server.http.429")
 	mQueueDepth = obs.GetGauge("server.queue.depth")
 	mRecovered  = obs.GetCounter("server.recovery.batches")
-	mRebuilt    = obs.GetCounter("server.recovery.wal.rebuilt")
+	// The journal group commit: one fsync per applier group or inline
+	// feed/finalize append, timed from the first staged record to the
+	// end of the fsync. The names predate the journal being the only
+	// log; operators and benchmarks read them as the commit path's.
+	mFsyncs     = obs.GetCounter("wal.fsyncs")
+	mCommitSecs = obs.GetHistogram("wal.commit.seconds", obs.LatencyBuckets)
 )
 
-// Journal record kinds. A record is uvarint seq | kind |
-// uvarint len(source) | source | body: raw feed lines for recFeed, the
-// JSON event array for recEvents, a wire.KindEvents batch (verbatim
-// request bytes) for recEventsWire, empty for recFinalize. seq is the
-// batch's global dispatch sequence — records of different batches live
-// in different shard journals, and sorting the union by seq recovers
-// the total commit order.
-const (
-	recFeed       = 1
-	recFinalize   = 2
-	recEvents     = 3
-	recEventsWire = 4
-)
-
-func encodeRecord(seq int, kind byte, source string, body []byte) []byte {
-	out := make([]byte, 0, 10+1+10+len(source)+len(body))
-	out = binary.AppendUvarint(out, uint64(seq))
-	out = append(out, kind)
-	out = binary.AppendUvarint(out, uint64(len(source)))
-	out = append(out, source...)
-	return append(out, body...)
-}
-
-func decodeJournalRecord(p []byte) (seq int, kind byte, source string, body []byte, err error) {
-	sq, sz := binary.Uvarint(p)
-	if sz <= 0 {
-		return 0, 0, "", nil, fmt.Errorf("server: truncated journal record seq")
+// appendCommit journals one record inline and fsyncs it: the commit
+// point of a feed or finalize batch.
+func appendCommit(j *wal.Journal, rec []byte) error {
+	began := obs.Now()
+	if err := j.Append(rec); err != nil {
+		return err
 	}
-	p = p[sz:]
-	if len(p) < 1 {
-		return 0, 0, "", nil, fmt.Errorf("server: empty journal record")
-	}
-	kind, p = p[0], p[1:]
-	n, sz := binary.Uvarint(p)
-	if sz <= 0 || n > uint64(len(p)-sz) {
-		return 0, 0, "", nil, fmt.Errorf("server: truncated journal record source")
-	}
-	return int(sq), kind, string(p[sz : sz+int(n)]), p[sz+int(n):], nil
+	mFsyncs.Inc()
+	mCommitSecs.ObserveDuration(obs.Since(began))
+	return nil
 }
 
 // appSpec binds one packaged RCA application to the service. display
@@ -174,32 +145,22 @@ const maxEventDuration = 15 * time.Minute
 
 // Config configures Open.
 type Config struct {
-	// DataDir holds the WAL, snapshots, and ingest journal — per shard,
-	// under shard-<i>/ when Shards > 1.
+	// DataDir holds the ingest journal — per shard, under shard-<i>/ when
+	// Shards > 1.
 	DataDir string
 	// Bundle supplies the configuration archive and manifest (collection
 	// window, CDN deployment). Its Feeds are ignored — feeds arrive over
 	// HTTP.
 	Bundle platform.Bundle
-	// Shards is the number of independent store/WAL/journal lanes the
-	// ingest path commits through (default 1). A data directory is bound
-	// to its shard count at creation; reopening with a different count is
+	// Shards is the number of independent store/journal lanes the ingest
+	// path commits through (default 1). A data directory is bound to its
+	// shard count at creation; reopening with a different count is
 	// refused.
 	Shards int
-	// Fsync is the WAL durability policy (default batch). The ingest
-	// journal always fsyncs per commit group; this tunes only the event
-	// WAL.
-	Fsync wal.FsyncPolicy
-	// FsyncInterval is the WAL background sync period under interval
-	// policy.
-	FsyncInterval time.Duration
-	// SnapshotEvery auto-snapshots a shard after that many WAL records.
-	SnapshotEvery int
 	// Retention, when positive, evicts events that ended more than this
 	// (up to 1.25× by quantum) before the latest event Start in their
-	// shard. Eviction costs O(evicted) and never snapshots: snapshots come
-	// from SnapshotEvery and shutdown only, which is what bounds the data
-	// directory.
+	// shard. Eviction costs O(evicted). It bounds memory, not the journal:
+	// recovery replays every journaled batch and re-evicts on the way.
 	Retention time.Duration
 	// MaxInflight bounds each shard's ingest queue (default 64 batches);
 	// when an involved shard's queue is full, ingest answers 429.
@@ -211,23 +172,17 @@ type Config struct {
 	// instead of the zero-copy fast path (an escape hatch; the two are
 	// parity-tested byte-identical).
 	LegacyParsers bool
-	// ReplayWorkers is the WAL's recovery decode parallelism (0 =
-	// GOMAXPROCS).
-	ReplayWorkers int
 	// Debug mounts the expvar/pprof debug handlers under /debug/ on the
 	// main API address — the single-port deployment; a dedicated metrics
 	// listener (obs.ServeDebug) is the alternative.
 	Debug bool
 	// ReplicaOf, when set, opens this node as a live read replica of the
-	// primary at that base URL (e.g. http://host:9090): it bootstraps
-	// from the primary's replication streams, serves the read API
-	// continuously, and redirects writes there. POST
-	// /v1/replication/promote turns it into a primary.
+	// primary at that base URL (e.g. http://host:9090): it replays the
+	// primary's merged journal stream, serves the read API continuously,
+	// and redirects writes there. POST /v1/replication/promote turns it
+	// into a primary.
 	ReplicaOf string
-	// ReplicaGrace is how long WAL compaction holds segments for a
-	// recently disconnected follower (default 5m).
-	ReplicaGrace time.Duration
-	// ReplicaPoll is the replication streams' file-tail poll cadence
+	// ReplicaPoll is the journal stream's file-tail poll cadence
 	// (default 50ms).
 	ReplicaPoll time.Duration
 }
@@ -250,7 +205,7 @@ type task struct {
 	source string
 	lines  []byte
 	events []event.Instance
-	raw    []byte // journal body for recEvents/recEventsWire
+	raw    []byte // journal body for ingestlog.Events/ingestlog.EventsWire
 }
 
 type taskResult struct {
@@ -261,12 +216,12 @@ type taskResult struct {
 }
 
 // shard is one lane of the parallel commit pipeline: a store shard, its
-// WAL, its slice of the ingest journal, and the bounded queue its
-// applier goroutine drains.
+// slice of the ingest journal, and the bounded queue its applier
+// goroutine drains (a replica has no appliers; its journal stream apply
+// is the only writer).
 type shard struct {
 	idx   int
 	st    *store.Memory
-	log   *wal.Log
 	jour  *wal.Journal
 	queue chan shardTask
 	done  chan struct{}
@@ -316,9 +271,9 @@ type Server struct {
 
 	// Replication (DESIGN.md §16). Primary side: bootID names this
 	// incarnation, sealer feeds the stream merge's watermark, replReg
-	// tracks followers (and pins compaction), replSrc serves the streams.
-	// Follower side: follower is non-nil on a read replica, and promoted,
-	// once set, is the post-failover primary every request delegates to.
+	// tracks followers, replSrc serves the journal stream. Follower side:
+	// follower is non-nil on a read replica, and promoted, once set, is
+	// the post-failover primary every request delegates to.
 	bootID   string
 	sealer   *sealer
 	replReg  *replica.Registry
@@ -342,11 +297,6 @@ type RecoveryInfo struct {
 	Events int
 	// Shards is the shard count the data directory is bound to.
 	Shards int
-	// WALRebuilt is true when at least one shard's WAL disagreed with the
-	// merged journal (crash between journal fsync and WAL commit, a lost
-	// shard directory, or corruption) and was rebuilt from the journal
-	// replay.
-	WALRebuilt bool
 }
 
 func journalPath(dir string) string { return filepath.Join(dir, "journal.log") }
@@ -364,7 +314,7 @@ func shardDir(dataDir string, n, i int) string {
 // checkShardMarker binds the data directory to its shard count: the
 // journals' sequence interleave and per-shard event placement are
 // functions of N, so reopening with a different N would replay into the
-// wrong shards. Pre-sharding directories (journal or WAL present, no
+// wrong shards. Pre-sharding directories (a root-level journal, no
 // marker) are adopted as single-shard only — stamping one with n>1
 // would orphan its root-level state under the shard-<i>/ layout.
 func checkShardMarker(dataDir string, n int) error {
@@ -392,26 +342,29 @@ func checkShardMarker(dataDir string, n int) error {
 }
 
 // legacyLayout reports whether dataDir carries pre-sharding state at its
-// root: an ingest journal or a WAL segment directory.
+// root: an ingest journal.
 func legacyLayout(dataDir string) bool {
-	if _, err := os.Stat(journalPath(dataDir)); err == nil {
-		return true
-	}
-	if _, err := os.Stat(filepath.Join(dataDir, "wal")); err == nil {
-		return true
-	}
-	return false
+	_, err := os.Stat(journalPath(dataDir))
+	return err == nil
 }
 
-// Open recovers (or initializes) the service under cfg.DataDir.
+// Open recovers (or initializes) the service under cfg.DataDir. A
+// primary and a read replica are built by the same path — the merged
+// shard journals replay into the store the service then runs on — and
+// differ only in what starts afterwards: a primary starts its appliers,
+// finisher and replication source, a replica its journal stream client.
 func Open(cfg Config) (*Server, error) {
 	cfg.defaults()
-	if cfg.ReplicaOf != "" {
-		return openFollower(cfg)
-	}
 	n := cfg.Shards
 	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 		return nil, err
+	}
+	var fs *followerState
+	if cfg.ReplicaOf != "" {
+		var err error
+		if fs, err = newFollowerState(cfg); err != nil {
+			return nil, err
+		}
 	}
 	if err := checkShardMarker(cfg.DataDir, n); err != nil {
 		return nil, err
@@ -420,43 +373,31 @@ func Open(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: config archive: %v", err)
 	}
-	walOpts := wal.Options{
-		Fsync: cfg.Fsync, FsyncInterval: cfg.FsyncInterval,
-		SnapshotEvery: cfg.SnapshotEvery, Retention: cfg.Retention,
-		ReplayWorkers: cfg.ReplayWorkers,
+	for i := 0; i < n; i++ {
+		dir := shardDir(cfg.DataDir, n, i)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, err
+		}
+		// Event-WAL segments and snapshots left by older versions hold
+		// only data derived from the journal, and nothing reads them.
+		for _, sub := range []string{"wal", "snap"} {
+			if err := os.RemoveAll(filepath.Join(dir, sub)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	rep, err := replayJournals(cfg, topo)
+	if err != nil {
+		return nil, err
 	}
 
-	// Recover every shard's WAL in parallel; a shard that fails here is
-	// rebuilt from the journal replay below.
-	type walState struct {
-		log *wal.Log
-		st  *store.Memory
-		err error
-	}
-	ws := make([]walState, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			l, st, _, err := wal.Open(shardDir(cfg.DataDir, n, i), walOpts)
-			ws[i] = walState{l, st, err}
-		}(i)
-	}
-	wg.Wait()
 	// Until the pipeline goroutines take ownership at the very end, every
-	// open log and journal is ours: close them all on any error path so a
-	// failed Open leaks neither file handles nor fsync goroutines.
-	var shards []*shard
+	// open journal is ours: close them all on any error path.
+	shards := make([]*shard, n)
 	opened := false
 	defer func() {
 		if opened {
 			return
-		}
-		for i := range ws {
-			if ws[i].log != nil {
-				ws[i].log.Close() //nolint:errcheck // being discarded
-			}
 		}
 		for _, sh := range shards {
 			if sh != nil {
@@ -464,76 +405,20 @@ func Open(cfg Config) (*Server, error) {
 			}
 		}
 	}()
-
-	// Replay the merged ingest journals through a scratch pipeline to
-	// rebuild collector state; its per-shard stores double as the
-	// cross-check against the WAL-recovered shards.
-	rep, err := replayJournals(cfg, topo)
-	if err != nil {
-		return nil, err
-	}
-	rebuilt := false
-	for i := range ws {
-		if ws[i].err == nil && wal.StoreDigest(ws[i].st) == wal.StoreDigest(rep.shards[i]) {
-			continue
-		}
-		// This shard's WAL trails or disagrees with the journals: rebuild
-		// it from the journal replay, which is the batch-level committed
-		// prefix.
-		if ws[i].log != nil {
-			ws[i].log.Close() //nolint:errcheck // being discarded
-			ws[i].log = nil
-		}
-		dir := shardDir(cfg.DataDir, n, i)
-		for _, sub := range []string{"wal", "snap"} {
-			if err := os.RemoveAll(filepath.Join(dir, sub)); err != nil {
-				return nil, err
-			}
-		}
-		l, st, _, err := wal.Open(dir, walOpts)
-		if err != nil {
-			return nil, err
-		}
-		ws[i] = walState{l, st, nil}
-		base, next, ins := rep.shards[i].Dump()
-		if err := st.Restore(base, next, ins); err != nil {
-			return nil, fmt.Errorf("server: rebuilding shard %d from journal: %v", i, err)
-		}
-		if err := l.Snapshot(); err != nil {
-			return nil, err
-		}
-		rebuilt = true
-		mRebuilt.Inc()
-	}
-	mRecovered.Add(int64(rep.batches))
-
-	mems := make([]*store.Memory, n)
-	for i := range ws {
-		mems[i] = ws[i].st
-	}
-	st := store.NewShardedOf(mems, store.HashRoute(n))
-	st.SetNext(rep.scratch.NextID())
-
-	// The scratch collector carries the journals' parse state; point it
-	// at the authoritative store for all future ingest.
-	coll := rep.coll
-	coll.Store = st
-
-	shards = make([]*shard, n)
 	for i := range shards {
 		jour, err := wal.OpenJournal(journalPath(shardDir(cfg.DataDir, n, i)))
 		if err != nil {
 			return nil, err
 		}
 		shards[i] = &shard{
-			idx: i, st: mems[i], log: ws[i].log, jour: jour,
+			idx: i, st: rep.shards[i], jour: jour,
 			queue: make(chan shardTask, cfg.MaxInflight),
 			done:  make(chan struct{}),
 		}
 	}
 
 	s := &Server{
-		cfg: cfg, topo: topo, shards: shards, st: st, coll: coll,
+		cfg: cfg, topo: topo, shards: shards, st: rep.scratch, coll: rep.coll,
 		roll:        rollup.New(rollup.Config{}),
 		hub:         newSSEHub(),
 		seq:         rep.maxSeq + 1,
@@ -541,27 +426,35 @@ func Open(cfg Config) (*Server, error) {
 		finishQ:     make(chan *batch, n*cfg.MaxInflight+n+1),
 		finishDone:  make(chan struct{}),
 		finishedSeq: rep.maxSeq,
+		follower:    fs,
 		closing:     make(chan struct{}),
 		recovery: RecoveryInfo{
 			Batches: rep.batches, Finalized: rep.finalized,
-			Events: st.Len(), Shards: n, WALRebuilt: rebuilt,
+			Events: rep.scratch.Len(), Shards: n,
 		},
 	}
 	s.finishCond = sync.NewCond(&s.finishMu)
-	// The Result Browser rollups: seed the trend bins from the recovered
-	// store (Restore bypasses the append hook), then track every future
+	// The Result Browser rollups: seed the trend bins from the replayed
+	// store (replay ran before any hook existed), then track every future
 	// append and eviction incrementally. Cause counters are seeded by
 	// installServing once engines exist.
-	s.roll.SeedEvents(st)
-	st.OnAppend(s.roll.ObserveEvent)
-	st.OnEvict(s.roll.EvictEvents)
+	s.roll.SeedEvents(s.st)
+	s.st.OnAppend(s.roll.ObserveEvent)
+	s.st.OnEvict(s.roll.EvictEvents)
 	if rep.finalized {
 		if err := s.installServing(true); err != nil {
 			return nil, err
 		}
 	}
-	s.initReplicationSource(rep)
+	mRecovered.Add(int64(rep.batches))
 	opened = true
+	if fs != nil {
+		fs.appliedSeq.Store(int64(rep.maxSeq))
+		mReplSeq.Set(int64(rep.maxSeq))
+		s.startFollowerClient()
+		return s, nil
+	}
+	s.initReplicationSource(rep.maxSeq)
 	for i := range shards {
 		go s.applier(shards[i])
 	}
@@ -594,7 +487,7 @@ func latticeRoute(view *netstate.View, n int) func(locus.Location) int {
 }
 
 // replayJournals rebuilds the pipeline state recorded across all shard
-// journals into a fresh collector + sharded store: the records are
+// journals into a fresh collector + sharded store: the records stream
 // merged in global sequence order, so dense ID allocation and shard
 // placement replay exactly as the original dispatch produced them.
 func replayJournals(cfg Config, topo *netmodel.Topology) (replayResult, error) {
@@ -613,78 +506,66 @@ func replayJournals(cfg Config, topo *netmodel.Topology) (replayResult, error) {
 	c.WindowEnd = cfg.Bundle.Start.Add(cfg.Bundle.Duration)
 	rep.coll = c
 
-	type jrec struct {
-		seq    int
-		kind   byte
-		source string
-		body   []byte
+	paths := make([]string, n)
+	for i := range paths {
+		paths[i] = journalPath(shardDir(cfg.DataDir, n, i))
 	}
-	var recs []jrec
-	for i := 0; i < n; i++ {
-		_, err := wal.ReplayJournal(journalPath(shardDir(cfg.DataDir, n, i)), func(p []byte) error {
-			seq, kind, source, body, err := decodeJournalRecord(p)
-			if err != nil {
-				return err
-			}
-			recs = append(recs, jrec{seq, kind, source, body})
-			return nil
-		})
-		if err != nil {
-			return rep, fmt.Errorf("server: journal replay: %v", err)
-		}
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
-
-	for _, r := range recs {
+	err := ingestlog.Replay(paths, func(_ int, r ingestlog.Record) error {
 		rep.batches++
-		if r.seq > rep.maxSeq {
-			rep.maxSeq = r.seq
-		}
-		switch r.kind {
-		case recFeed:
-			if err := c.Ingest(r.source, bytes.NewReader(r.body)); err != nil {
-				// The original run journaled this batch before rejecting it
-				// with the same deterministic parse error; state after the
-				// partial ingest is identical either way.
-				continue
-			}
-		case recFinalize:
+		rep.maxSeq = r.Seq
+		switch r.Kind {
+		case ingestlog.Feed:
+			// The original run journaled this batch before rejecting it
+			// with the same deterministic parse error; state after the
+			// partial ingest is identical either way.
+			c.Ingest(r.Source, bytes.NewReader(r.Body)) //nolint:errcheck // see above
+		case ingestlog.Finalize:
 			if err := c.Finalize(); err != nil {
-				return rep, fmt.Errorf("server: journal replay: finalize: %v", err)
+				return fmt.Errorf("finalize: %v", err)
 			}
 			cdn.MaterializeEgressChanges(c, cfg.Bundle.CDN, c.WindowStart, c.WindowEnd)
 			view := netstate.NewView(topo, c.OSPF, c.BGP)
 			cdn.Register(view, cfg.Bundle.CDN)
 			rep.scratch.SetRoute(latticeRoute(view, n))
 			rep.finalized = true
-		case recEvents:
-			var evs []EventJSON
-			if err := json.Unmarshal(r.body, &evs); err != nil {
-				return rep, fmt.Errorf("server: journaled event batch: %v", err)
-			}
-			for _, ej := range evs {
-				in, err := ej.instance()
-				if err != nil {
-					return rep, fmt.Errorf("server: journaled event batch: %v", err)
-				}
-				rep.scratch.Add(in)
-			}
-		case recEventsWire:
-			b, err := wire.Decode(r.body)
-			if err != nil {
-				return rep, fmt.Errorf("server: journaled event batch: %v", err)
-			}
-			if b.Kind != wire.KindEvents {
-				return rep, fmt.Errorf("server: journaled event batch: wire kind %d, want events", b.Kind)
-			}
-			for i := range b.Events {
-				rep.scratch.Add(b.Events[i])
-			}
 		default:
-			return rep, fmt.Errorf("server: unknown journal record kind %d", r.kind)
+			evs, err := recordEvents(r)
+			if err != nil {
+				return err
+			}
+			for i := range evs {
+				rep.scratch.Add(evs[i])
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		return rep, fmt.Errorf("server: journal replay: %v", err)
 	}
 	return rep, nil
+}
+
+// recordEvents decodes the normalized events an event-batch journal
+// record carries, in batch order.
+func recordEvents(r ingestlog.Record) ([]event.Instance, error) {
+	switch r.Kind {
+	case ingestlog.Events:
+		var evs []EventJSON
+		if err := json.Unmarshal(r.Body, &evs); err != nil {
+			return nil, fmt.Errorf("journaled event batch: %v", err)
+		}
+		return decodeEvents(evs)
+	case ingestlog.EventsWire:
+		b, err := wire.Decode(r.Body)
+		if err != nil {
+			return nil, fmt.Errorf("journaled event batch: %v", err)
+		}
+		if b.Kind != wire.KindEvents {
+			return nil, fmt.Errorf("journaled event batch: wire kind %d, want events", b.Kind)
+		}
+		return b.Events, nil
+	}
+	return nil, fmt.Errorf("unknown journal record kind %d", r.Kind)
 }
 
 // installServing transitions to the serving phase: routing view, CDN

@@ -13,16 +13,15 @@ import (
 	"grca/internal/replica"
 )
 
-// Replication: a primary tails its own ingest journals and WAL segments
-// and streams them to followers (internal/replica); a follower applies
-// the merged journal stream through the same path crash recovery uses
-// and serves the read API live. See DESIGN.md §16.
+// Replication: a primary tails its own ingest journals and streams them,
+// merged in sequence order, to followers (internal/replica); a follower
+// applies the merged journal stream through the same path crash
+// recovery uses and serves the read API live. See DESIGN.md §16.
 
 var (
 	mReplApplied  = obs.GetCounter("replica.follower.applied.batches")
 	mReplSeq      = obs.GetGauge("replica.follower.applied.seq")
 	mReplLagBytes = obs.GetGauge("replica.follower.journal.lag.bytes")
-	mReplLagRecs  = obs.GetGauge("replica.follower.wal.lag.records")
 )
 
 // sealer tracks, per shard, the dispatch sequence numbers assigned to
@@ -106,31 +105,24 @@ func newBootID() string {
 }
 
 // initReplicationSource wires the primary side of replication: the
-// sealer (fed by dispatch), the follower registry, the stream source
-// over the shard journals and WALs, and each WAL's compaction pin.
-func (s *Server) initReplicationSource(rep replayResult) {
+// sealer (fed by dispatch), the follower registry, and the stream source
+// over the shard journals. last is the highest sequence already
+// journaled.
+func (s *Server) initReplicationSource(last int) {
 	n := len(s.shards)
 	s.bootID = newBootID()
-	s.sealer = newSealer(n, rep.maxSeq)
-	s.replReg = replica.NewRegistry(n, s.cfg.ReplicaGrace)
+	s.sealer = newSealer(n, last)
+	s.replReg = replica.NewRegistry()
 	s.replSrc = replica.NewSource(replica.SourceConfig{
 		BootID: s.bootID,
 		Shards: n,
 		JournalPath: func(i int) string {
 			return journalPath(shardDir(s.cfg.DataDir, n, i))
 		},
-		WALDir: func(i int) string {
-			return shardDir(s.cfg.DataDir, n, i)
-		},
-		Sealed:      s.sealer.sealed,
-		WALFrontier: func(i int) int { return s.shards[i].log.Frontier() },
-		Registry:    s.replReg,
-		Poll:        s.cfg.ReplicaPoll,
+		Sealed:   s.sealer.sealed,
+		Registry: s.replReg,
+		Poll:     s.cfg.ReplicaPoll,
 	})
-	for i := range s.shards {
-		shard := i
-		s.shards[i].log.SetCompactPin(func() int { return s.replReg.PinWAL(shard) })
-	}
 }
 
 // isFollower reports whether this server is a read replica (not yet
@@ -143,7 +135,6 @@ type ReplicationMetaJSON struct {
 	Shards       int     `json:"shards"`
 	Sealed       []int   `json:"sealed"`
 	JournalBytes []int64 `json:"journal_bytes"`
-	WALNext      []int   `json:"wal_next"`
 }
 
 // ReplicationStatusJSON is /v1/replication/status for either role.
@@ -170,10 +161,6 @@ type ReplicaShardLag struct {
 	JournalBytes    int64 `json:"journal_bytes"`
 	PrimaryJournal  int64 `json:"primary_journal_bytes"`
 	LagBytes        int64 `json:"lag_bytes"`
-	WALNext         int   `json:"wal_next"`
-	PrimaryWALNext  int   `json:"primary_wal_next"`
-	WALLag          int   `json:"wal_lag_records"`
-	SnapBootstraps  int   `json:"snapshot_bootstraps,omitempty"`
 	StreamConnected bool  `json:"stream_connected"`
 }
 
@@ -191,7 +178,6 @@ func (s *Server) handleReplMeta(w http.ResponseWriter, r *http.Request) {
 		Shards:       len(s.shards),
 		Sealed:       s.sealer.sealed(),
 		JournalBytes: s.replSrc.JournalSizes(),
-		WALNext:      s.replSrc.WALFrontiers(),
 	})
 }
 
@@ -237,37 +223,6 @@ func (s *Server) handleReplJournal(w http.ResponseWriter, r *http.Request) {
 		flush = f.Flush
 	}
 	s.replSrc.ServeJournal(w, flush, id, from, s.closing) //nolint:errcheck // stream end is the follower's signal
-}
-
-// handleReplWAL streams one shard's event WAL. Mounted raw, like the
-// journal stream.
-func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
-	if s.isFollower() {
-		writeErr(w, http.StatusConflict, "this node is a replica; streams are served by the primary")
-		return
-	}
-	id := r.URL.Query().Get("id")
-	if id == "" {
-		writeErr(w, http.StatusBadRequest, "missing follower id")
-		return
-	}
-	shard, err := strconv.Atoi(r.URL.Query().Get("shard"))
-	if err != nil || shard < 0 || shard >= len(s.shards) {
-		writeErr(w, http.StatusBadRequest, "bad shard")
-		return
-	}
-	from, err := strconv.Atoi(r.URL.Query().Get("from"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad from cursor")
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	flush := func() {}
-	if f, ok := w.(http.Flusher); ok {
-		flush = f.Flush
-	}
-	s.replSrc.ServeWAL(w, flush, id, shard, from, s.closing) //nolint:errcheck // stream end is the follower's signal
 }
 
 func (s *Server) handleReplPromote(w http.ResponseWriter, r *http.Request) {

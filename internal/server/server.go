@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"grca/internal/ingestlog"
 	"grca/internal/obs"
 	"grca/internal/wire"
 )
@@ -64,11 +65,10 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/stream", s.handleStream)
 	mux.HandleFunc("/v1/replication/status", s.timed(mStatsSecs, s.handleReplStatus))
 	mux.HandleFunc("/v1/replication/meta", s.timed(mStatsSecs, s.handleReplMeta))
-	// Replication streams live until the follower disconnects, and a
-	// promotion replays the whole journal history — none fit under the
-	// request timeout.
+	// The replication stream lives until the follower disconnects, and a
+	// promotion replays the whole journal history — neither fits under
+	// the request timeout.
 	mux.HandleFunc("/v1/replication/journal", s.handleReplJournal)
-	mux.HandleFunc("/v1/replication/wal", s.handleReplWAL)
 	mux.HandleFunc("/v1/replication/promote", s.handleReplPromote)
 	mux.HandleFunc("/browser/", s.handleDashboard)
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -140,7 +140,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				writeErr(w, http.StatusBadRequest, "unknown source %q", b.Source)
 				return
 			}
-			t = task{kind: recFeed, source: b.Source, lines: []byte(b.Lines)}
+			t = task{kind: ingestlog.Feed, source: b.Source, lines: []byte(b.Lines)}
 		case wire.KindEvents:
 			if len(b.Events) == 0 {
 				writeErr(w, http.StatusBadRequest, "empty event batch")
@@ -149,7 +149,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			// The verbatim request bytes are the journal record: replay
 			// re-decodes them, so the store recovers byte-identically
 			// without a JSON round-trip.
-			t = task{kind: recEventsWire, events: b.Events, raw: body}
+			t = task{kind: ingestlog.EventsWire, events: b.Events, raw: body}
 		}
 		s.finishIngest(w, r, t)
 		return
@@ -166,7 +166,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "unknown source %q", req.Source)
 			return
 		}
-		t = task{kind: recFeed, source: req.Source, lines: []byte(req.Lines)}
+		t = task{kind: ingestlog.Feed, source: req.Source, lines: []byte(req.Lines)}
 	case req.Source == "" && len(req.Events) > 0:
 		ins, err := decodeEvents(req.Events)
 		if err != nil {
@@ -178,7 +178,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		t = task{kind: recEvents, events: ins, raw: raw}
+		t = task{kind: ingestlog.Events, events: ins, raw: raw}
 	default:
 		writeErr(w, http.StatusBadRequest, "provide either source+lines or events")
 		return
@@ -229,7 +229,7 @@ func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
 		s.redirectToPrimary(w, r)
 		return
 	}
-	res := s.dispatch(r.Context(), task{kind: recFinalize})
+	res := s.dispatch(r.Context(), task{kind: ingestlog.Finalize})
 	if res.err != nil {
 		writeErr(w, res.status, "%v", res.err)
 		return
@@ -399,9 +399,8 @@ func (s *Server) Start(addr string) (string, error) {
 
 // Shutdown drains gracefully: stop accepting work, let in-flight
 // requests finish, drain every shard's queue and the finisher,
-// force-drain the streaming processors, snapshot each shard, and close
-// the WALs and journals. Safe to call once; the ctx bounds the HTTP
-// drain.
+// force-drain the streaming processors, and sync and close the
+// journals. Safe to call once; the ctx bounds the HTTP drain.
 func (s *Server) Shutdown(ctx context.Context) error {
 	close(s.closing)
 	var err error
@@ -433,10 +432,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}
 	for _, sh := range s.shards {
-		if e := sh.log.Snapshot(); e != nil && err == nil {
-			err = e
-		}
-		if e := sh.log.Close(); e != nil && err == nil {
+		if e := sh.jour.Sync(); e != nil && err == nil {
 			err = e
 		}
 		if e := sh.jour.Close(); e != nil && err == nil {

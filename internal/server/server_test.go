@@ -193,8 +193,9 @@ func specFor(t *testing.T, name string) appSpec {
 
 // TestRestartRecovery: a served corpus survives shutdown and reopen —
 // same store digest, same diagnosis bytes, phase still serving — and a
-// deleted WAL (the crashed-before-WAL-commit case) is rebuilt from the
-// ingest journal with identical results.
+// data dir upgraded from the event-WAL layout, with stale wal/ and snap/
+// directories left behind, recovers identically from the journal and
+// loses those directories.
 func TestRestartRecovery(t *testing.T) {
 	_, b := testBundle(t)
 	dir := t.TempDir()
@@ -208,12 +209,15 @@ func TestRestartRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, crash := range []bool{false, true} {
-		if crash {
-			// Crash persona: the WAL vanished (or tore) after the journal
-			// fsync — the journal must rebuild everything.
+	for _, upgraded := range []bool{false, true} {
+		if upgraded {
+			// Upgrade persona: leftovers of the event WAL, with contents
+			// that disagree with the journal.
 			for _, sub := range []string{"wal", "snap"} {
-				if err := os.RemoveAll(filepath.Join(dir, sub)); err != nil {
+				if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, sub, "stale"), []byte("not journal data"), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -221,18 +225,20 @@ func TestRestartRecovery(t *testing.T) {
 		s2 := openServer(t, dir, b)
 		rec := s2.Recovery()
 		if !rec.Finalized {
-			t.Fatalf("crash=%v: recovery lost the finalized phase: %+v", crash, rec)
+			t.Fatalf("upgraded=%v: recovery lost the finalized phase: %+v", upgraded, rec)
 		}
-		if rec.WALRebuilt != crash {
-			t.Fatalf("crash=%v: WALRebuilt=%v", crash, rec.WALRebuilt)
+		for _, sub := range []string{"wal", "snap"} {
+			if _, err := os.Stat(filepath.Join(dir, sub)); !os.IsNotExist(err) {
+				t.Fatalf("upgraded=%v: %s/ survived Open: %v", upgraded, sub, err)
+			}
 		}
 		if got := wal.StoreDigest(s2.Store()); got != digest {
-			t.Fatalf("crash=%v: recovered store digest differs", crash)
+			t.Fatalf("upgraded=%v: recovered store digest differs", upgraded)
 		}
 		ts2 := httptest.NewServer(s2.Handler())
 		_, diagAfter := post(t, ts2, "/v1/diagnose", DiagnoseRequest{App: "bgpflap", All: true})
 		if !bytes.Equal(diagBefore, diagAfter) {
-			t.Fatalf("crash=%v: post-restart diagnoses differ from pre-restart", crash)
+			t.Fatalf("upgraded=%v: post-restart diagnoses differ from pre-restart", upgraded)
 		}
 		ts2.Close()
 		if err := s2.Shutdown(context.Background()); err != nil {
@@ -286,7 +292,7 @@ func TestEventIngestStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The event batch is journaled + WAL'd: both survive restart.
+	// The event batch is journaled: it survives restart.
 	s2 := openServer(t, dir, b)
 	if s2.Store().Len() != before+2 {
 		t.Fatalf("restart lost event-mode batch: %d, want %d", s2.Store().Len(), before+2)

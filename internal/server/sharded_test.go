@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"grca/internal/event"
+	"grca/internal/ingestlog"
 	"grca/internal/platform"
 	"grca/internal/wal"
 	"grca/internal/wire"
@@ -180,18 +182,18 @@ func TestShardedParityDifferential(t *testing.T) {
 	}
 }
 
-// TestShardedRestartAndPartialWALLoss: a sharded data dir must recover
-// byte-identically after a clean restart, and — the crash-point
-// property — after losing any subset of its shard WALs, which the
-// journals rebuild. The digest must be stable across one more restart
-// after the rebuild.
-func TestShardedRestartAndPartialWALLoss(t *testing.T) {
+// TestShardedRestartDropsLegacyWAL: a sharded data dir recovers
+// byte-identically after a clean restart, and after an upgrade from the
+// event-WAL layout: whatever stale wal/ and snap/ directories sit in the
+// shard dirs, Open deletes them and the journals alone rebuild the same
+// store, stable across one more restart.
+func TestShardedRestartDropsLegacyWAL(t *testing.T) {
 	_, b := testBundle(t)
 	dir := t.TempDir()
 	const shards = 3
 	before := driveLifecycle(t, dir, b, shards)
 
-	reopen := func(wantRebuilt bool, what string) string {
+	reopen := func(what string) string {
 		t.Helper()
 		s, err := Open(Config{DataDir: dir, Bundle: b, Shards: shards})
 		if err != nil {
@@ -201,9 +203,6 @@ func TestShardedRestartAndPartialWALLoss(t *testing.T) {
 		if !rec.Finalized || rec.Shards != shards {
 			t.Fatalf("%s: recovery = %+v", what, rec)
 		}
-		if rec.WALRebuilt != wantRebuilt {
-			t.Errorf("%s: WALRebuilt = %v, want %v", what, rec.WALRebuilt, wantRebuilt)
-		}
 		d := wal.StoreDigest(s.Store())
 		if err := s.Shutdown(context.Background()); err != nil {
 			t.Fatal(err)
@@ -211,24 +210,35 @@ func TestShardedRestartAndPartialWALLoss(t *testing.T) {
 		return d
 	}
 
-	if d := reopen(false, "clean restart"); d != before.digest {
+	if d := reopen("clean restart"); d != before.digest {
 		t.Fatalf("clean restart changed the store digest")
 	}
-	// Lose shard WALs in growing subsets; each recovery must rebuild the
-	// lost shards from the journals and land on the identical store.
-	for _, lost := range [][]int{{1}, {0, 2}, {0, 1, 2}} {
-		for _, i := range lost {
+	for _, stale := range [][]int{{1}, {0, 2}, {0, 1, 2}} {
+		for _, i := range stale {
 			for _, sub := range []string{"wal", "snap"} {
-				if err := os.RemoveAll(filepath.Join(dir, fmt.Sprintf("shard-%d", i), sub)); err != nil {
+				sd := filepath.Join(dir, fmt.Sprintf("shard-%d", i), sub)
+				if err := os.MkdirAll(sd, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(sd, "seg-0000000000000000.log"), []byte("stale"), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		what := fmt.Sprintf("lost shards %v", lost)
-		if d := reopen(true, what); d != before.digest {
+		what := fmt.Sprintf("stale WAL dirs in shards %v", stale)
+		if d := reopen(what); d != before.digest {
 			t.Fatalf("%s: recovered digest differs", what)
 		}
-		if d := reopen(false, what+" (second restart)"); d != before.digest {
+		entries, err := filepath.Glob(filepath.Join(dir, "shard-*", "*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if filepath.Base(e) != "journal.log" {
+				t.Fatalf("%s: %s survived Open; a shard dir holds only journal.log", what, e)
+			}
+		}
+		if d := reopen(what + " (second restart)"); d != before.digest {
 			t.Fatalf("%s: digest not stable across a second restart", what)
 		}
 	}
@@ -338,8 +348,8 @@ func TestShardCountPinned(t *testing.T) {
 // TestLegacyLayoutRefusesSharding: a pre-sharding data directory (state
 // at the root, no SHARDS marker) is adopted as single-shard only.
 // Opening it with more shards must refuse up front — stamping a
-// multi-shard marker would silently orphan the root-level journal and
-// WAL under the shard-<i>/ layout and pin the directory there.
+// multi-shard marker would silently orphan the root-level journal under
+// the shard-<i>/ layout and pin the directory there.
 func TestLegacyLayoutRefusesSharding(t *testing.T) {
 	_, b := testBundle(t)
 	dir := t.TempDir()
@@ -363,38 +373,318 @@ func TestLegacyLayoutRefusesSharding(t *testing.T) {
 	}
 }
 
-// TestShardedTornJournalTail: a torn frame at the tail of one shard's
+// TestShardedTornJournalTail: a torn frame at the tail of a shard's
 // journal (the batch never acknowledged) must truncate deterministically
-// and leave a consistent, digest-stable store behind.
+// at the last intact frame and leave a consistent, digest-stable store
+// behind — whether every shard's tail is torn, or only the middle one of
+// three journals whose sequences interleave.
 func TestShardedTornJournalTail(t *testing.T) {
 	_, b := testBundle(t)
-	dir := t.TempDir()
-	const shards = 2
-	before := driveLifecycle(t, dir, b, shards)
-
-	// Append garbage (a torn partial frame) to each shard journal.
-	for i := 0; i < shards; i++ {
-		f, err := os.OpenFile(journalPath(filepath.Join(dir, fmt.Sprintf("shard-%d", i))),
-			os.O_APPEND|os.O_WRONLY, 0o644)
+	for _, tc := range []struct {
+		shards int
+		torn   []int
+	}{{2, []int{0, 1}}, {3, []int{1}}} {
+		dir := t.TempDir()
+		before := driveLifecycle(t, dir, b, tc.shards)
+		paths := make([]string, tc.shards)
+		for i := range paths {
+			paths[i] = journalPath(filepath.Join(dir, fmt.Sprintf("shard-%d", i)))
+		}
+		if tc.shards == 3 {
+			assertInterleaved(t, paths)
+		}
+		sizes := make([]int64, tc.shards)
+		for _, i := range tc.torn {
+			st, err := os.Stat(paths[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizes[i] = st.Size()
+			// A torn next frame: its header claims more payload than
+			// reached the disk.
+			f, err := os.OpenFile(paths[i], os.O_APPEND|os.O_WRONLY, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(wal.AppendFrame(nil, []byte("a batch cut short"))[:13]); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := Open(Config{DataDir: dir, Bundle: b, Shards: tc.shards})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.Write([]byte{0xFF, 0x13, 0x37}); err != nil {
+		got := wal.StoreDigest(s.Store())
+		if err := s.Shutdown(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
+		if got != before.digest {
+			t.Fatalf("shards=%d: torn journal tails changed the recovered store", tc.shards)
+		}
+		for _, i := range tc.torn {
+			if st, err := os.Stat(paths[i]); err != nil || st.Size() != sizes[i] {
+				t.Fatalf("shards=%d: shard %d journal not truncated back to %d bytes", tc.shards, i, sizes[i])
+			}
 		}
 	}
-	s, err := Open(Config{DataDir: dir, Bundle: b, Shards: shards})
+}
+
+// assertInterleaved fails unless the journals' sequences interleave: some
+// shard holds a sequence between two of another shard's, so the replay
+// truly merges rather than concatenates.
+func assertInterleaved(t *testing.T, paths []string) {
+	t.Helper()
+	owner := map[int]int{}
+	for i, p := range paths {
+		for _, seq := range journalSeqs(t, p) {
+			owner[seq] = i
+		}
+	}
+	switches := 0
+	for seq := 1; seq < len(owner); seq++ {
+		if owner[seq] != owner[seq-1] {
+			switches++
+		}
+	}
+	if switches < 2 {
+		t.Fatalf("journal sequences switch shards %d times; the merge is not exercised", switches)
+	}
+}
+
+// crashBatch is the i-th batch of the crash-point property test: ticks
+// on routers that hash across the shards.
+func crashBatch(b platform.Bundle, seed int64, i int) []EventJSON {
+	at := b.Start.Add(b.Duration).Add(time.Duration(i) * time.Minute)
+	evs := make([]EventJSON, 4)
+	for j := range evs {
+		evs[j] = EventJSON{
+			Name: "synthetic tick", Start: at, End: at.Add(time.Second),
+			Loc: LocationJSON{Type: "router", A: fmt.Sprintf("cp-%d-r%d", seed, i*4+j)},
+		}
+	}
+	return evs
+}
+
+// ingestBatches posts each batch and fails on anything but 200.
+func ingestBatches(t *testing.T, s *Server, batches [][]EventJSON) {
+	t.Helper()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for i, evs := range batches {
+		if code, body := post(t, ts, "/v1/ingest", IngestRequest{Events: evs}); code != http.StatusOK {
+			t.Fatalf("batch %d: %d %s", i, code, body)
+		}
+	}
+}
+
+// shardDigests returns the merged and per-shard store digests.
+func shardDigests(s *Server) []string {
+	out := []string{wal.StoreDigest(s.Store())}
+	for _, sh := range s.shards {
+		out = append(out, wal.StoreDigest(sh.st))
+	}
+	return out
+}
+
+// TestJournalCrashPointProperty is the crash-point property of the one
+// durable log. Acknowledged batches are followed by batches whose bytes
+// stand in for an unsynced suffix; each shard journal is then cut at a
+// seeded offset after the last acknowledged batch — mid-header,
+// mid-payload, on a frame boundary, or not at all. Recovery must keep
+// every acknowledged batch, equal (merged and per shard) a clean server
+// that ingested exactly the surviving batches in sequence order, and
+// append the next batch cleanly after the truncation.
+func TestJournalCrashPointProperty(t *testing.T) {
+	_, b := testBundle(t)
+	const acked, unacked = 5, 6
+	for _, shards := range []int{1, 3} {
+		lost := 0
+		for seed := int64(0); seed < 50; seed++ {
+			rng := rand.New(rand.NewSource(seed*7 + int64(shards)))
+			var batches [][]EventJSON
+			for i := 0; i < acked+unacked; i++ {
+				batches = append(batches, crashBatch(b, seed, i))
+			}
+			dir := t.TempDir()
+			cfg := Config{DataDir: dir, Bundle: b, Shards: shards}
+			s, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingestBatches(t, s, batches[:acked])
+			paths := make([]string, shards)
+			durable := make([]int64, shards)
+			for i := range paths {
+				paths[i] = journalPath(shardDir(dir, shards, i))
+				if durable[i], err = fileSizeOf(paths[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ingestBatches(t, s, batches[acked:])
+			if err := s.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range paths {
+				cutSuffix(t, p, durable[i], rng)
+			}
+
+			// The surviving batches, read off the cut journals without
+			// touching them: recovery does its own truncation.
+			survived := map[int]bool{}
+			for _, p := range paths {
+				for _, seq := range journalSeqs(t, p) {
+					survived[seq] = true
+				}
+			}
+			var keep [][]EventJSON
+			for seq := range batches {
+				switch {
+				case survived[seq]:
+					keep = append(keep, batches[seq])
+				case seq < acked:
+					t.Fatalf("shards=%d seed=%d: the cut reached acknowledged batch %d", shards, seed, seq)
+				default:
+					lost++
+				}
+			}
+
+			s2, err := Open(cfg)
+			if err != nil {
+				t.Fatalf("shards=%d seed=%d: recovery: %v", shards, seed, err)
+			}
+			if got := s2.Recovery().Batches; got != len(keep) {
+				t.Fatalf("shards=%d seed=%d: recovered %d batches, %d survived the cut", shards, seed, got, len(keep))
+			}
+			got := shardDigests(s2)
+			ref, err := Open(Config{DataDir: t.TempDir(), Bundle: b, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingestBatches(t, ref, keep)
+			want := shardDigests(ref)
+			if err := ref.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("shards=%d seed=%d: digest %d differs from a clean run over the %d surviving batches", shards, seed, i, len(keep))
+				}
+			}
+
+			// The next batch appends after the truncation and replays
+			// without another cut.
+			ingestBatches(t, s2, [][]EventJSON{crashBatch(b, seed, 99)})
+			after := shardDigests(s2)
+			if err := s2.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			sizes := make([]int64, shards)
+			for i, p := range paths {
+				if sizes[i], err = fileSizeOf(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s3, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s3.Recovery().Batches != len(keep)+1 || shardDigests(s3)[0] != after[0] {
+				t.Fatalf("shards=%d seed=%d: the post-recovery batch did not replay cleanly", shards, seed)
+			}
+			if err := s3.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range paths {
+				if sz, err := fileSizeOf(p); err != nil || sz != sizes[i] {
+					t.Fatalf("shards=%d seed=%d: replay truncated shard %d after a clean append", shards, seed, i)
+				}
+			}
+		}
+		t.Logf("shards=%d: %d unacknowledged batches lost over 50 seeds", shards, lost)
+		if lost == 0 {
+			t.Fatalf("shards=%d: no cut lost a batch; the property was never exercised", shards)
+		}
+	}
+}
+
+// journalSeqs returns the sequences of the intact frames at the front of
+// the journal at path, read without modifying it.
+func journalSeqs(t *testing.T, path string) []int {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	var out []int
+	for {
+		p, rest, ok := wal.ReadFrame(data)
+		if !ok {
+			return out
+		}
+		r, err := ingestlog.Decode(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, r.Seq)
+		data = rest
+	}
+}
+
+func fileSizeOf(path string) (int64, error) {
+	st, err := os.Stat(path)
+	if os.IsNotExist(err) {
+		return 0, nil
+	}
 	if err != nil {
-		t.Fatal(err)
+		return 0, err
 	}
-	got := wal.StoreDigest(s.Store())
-	if err := s.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
+	return st.Size(), nil
+}
+
+// cutSuffix truncates the journal at path somewhere in [from, size]:
+// inside a frame header, inside a payload, on a frame boundary, or not
+// at all, drawn from rng.
+func cutSuffix(t *testing.T, path string, from int64, rng *rand.Rand) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil || int64(len(data)) <= from {
+		return // nothing after the acknowledged prefix on this shard
 	}
-	if got != before.digest {
-		t.Fatal("torn journal tails changed the recovered store")
+	var starts []int64 // frame starts in the suffix
+	rest := data[from:]
+	off := from
+	for len(rest) > 0 {
+		p, r2, ok := wal.ReadFrame(rest)
+		if !ok {
+			t.Fatalf("%s: journal suffix is not framed", path)
+		}
+		starts = append(starts, off)
+		off += int64(wal.FrameHeader + len(p))
+		rest = r2
+	}
+	k := starts[rng.Intn(len(starts))]
+	var cut int64
+	switch rng.Intn(4) {
+	case 0: // mid-header
+		cut = k + 1 + rng.Int63n(wal.FrameHeader-1)
+	case 1: // mid-payload (or the header's end for a tiny frame)
+		end := off
+		for _, st := range starts {
+			if st > k {
+				end = st
+				break
+			}
+		}
+		cut = k + wal.FrameHeader + rng.Int63n(end-k-wal.FrameHeader)
+	case 2: // on a boundary
+		cut = k
+	default: // the whole suffix reached the disk
+		cut = int64(len(data))
+	}
+	if err := os.Truncate(path, cut); err != nil {
+		t.Fatal(err)
 	}
 }

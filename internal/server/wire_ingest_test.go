@@ -112,7 +112,7 @@ func TestWireIngestParity(t *testing.T) {
 	}
 
 	// Restart the wire-fed server: journal replay decodes the verbatim
-	// wire records (recFeed raw lines + recEventsWire), so the recovered
+	// wire records (raw Feed lines + EventsWire), so the recovered
 	// digest must not move.
 	want := wal.StoreDigest(fast.Store())
 	fastTS.Close()

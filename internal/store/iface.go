@@ -9,7 +9,7 @@ import (
 
 // Store is the event-store access surface shared by the single-shard
 // Memory and the multi-shard Sharded. The engine, collector, rollups,
-// browser, and WAL digesting all program against this interface, so the
+// browser, and store digesting all program against this interface, so the
 // number of shards behind an ingest path is invisible to readers:
 // placement affects parallelism, never results.
 type Store interface {

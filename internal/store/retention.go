@@ -20,10 +20,9 @@ import (
 // The head instance itself always stays live (End ≥ Start = head >
 // head−retention), so the live set after any write is the pure function
 // {inserted : quantum(End) ≥ quantum(head−retention)} of what was
-// inserted — independent of batching, of insertion order, and of where a
-// snapshot cut the history. That is what lets snapshot+tail WAL
-// recovery, journal replay and a follower reach the same StoreDigest
-// without snapshotting at evictions. Anchoring on Start (not End) keeps
+// inserted — independent of batching and of insertion order. That is
+// what lets journal replay and a follower reach the same StoreDigest as
+// the live store. Anchoring on Start (not End) keeps
 // one long-lived event from evicting everything before its End.
 //
 // Cost: live instances sit in End-keyed buckets, one per quantum. A

@@ -176,10 +176,9 @@ func randomStream(rng *rand.Rand, n int) []event.Instance {
 }
 
 // TestRetentionProperty checks the store against the brute-force model
-// after every insert, under random streams, batching, restores and
-// sharding: the live set is exactly the model's, Span is exact, a
-// Dump→Restore followed by the same inserts ends identical, and a
-// sharded store keeps every event the single store keeps.
+// after every insert, under random streams, batching and sharding: the
+// live set is exactly the model's, Span is exact, and a sharded store
+// keeps every event the single store keeps.
 func TestRetentionProperty(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -190,7 +189,6 @@ func TestRetentionProperty(t *testing.T) {
 		batched.SetRetention(window)
 		sharded := NewSharded(3, nil)
 		sharded.SetRetention(window)
-		var restored *Memory
 		var ins []event.Instance
 		for i := 0; i < len(stream); {
 			// A batch of 1–16 inserts: single and sharded per insert,
@@ -200,9 +198,6 @@ func TestRetentionProperty(t *testing.T) {
 			for _, in := range batch {
 				stored := *single.Add(in)
 				ins = append(ins, stored)
-				if restored != nil {
-					restored.Add(in)
-				}
 				sharded.Add(in)
 			}
 			batched.AddAll(batch)
@@ -212,19 +207,9 @@ func TestRetentionProperty(t *testing.T) {
 				t.Fatalf("seed %d after %d inserts: live set has %d, model %d", seed, len(ins), len(got), len(want))
 			}
 			assertSpanExact(t, single, ins, want)
-			if restored == nil && rng.Intn(10) == 0 {
-				restored = New()
-				restored.SetRetention(window)
-				if err := restored.Restore(single.Dump()); err != nil {
-					t.Fatal(err)
-				}
-			}
 		}
 		if !dumpsEqual(single, batched) {
 			t.Fatalf("seed %d: batched AddAll diverged from per-insert Add", seed)
-		}
-		if restored != nil && !dumpsEqual(single, restored) {
-			t.Fatalf("seed %d: Dump→Restore plus the same inserts diverged", seed)
 		}
 		sl, shl := liveSet(single), liveSet(sharded)
 		for id := range sl {

@@ -12,8 +12,8 @@ import (
 )
 
 // Sharded is a Store composed of N independent Memory shards. Each shard
-// has its own lock (and, in the server, its own WAL segment directory,
-// journal, and applier goroutine), so writes to different shards never
+// has its own lock (and, in the server, its own journal and applier
+// goroutine), so writes to different shards never
 // contend. Event IDs stay globally monotonic via an atomic block
 // allocator, which keeps ScanAfter pagination and StoreDigest
 // well-defined across shards; a shard therefore sees a sparse ID
@@ -54,10 +54,8 @@ func NewSharded(n int, route func(locus.Location) int) *Sharded {
 	return newShardedOf(shards, route)
 }
 
-// NewShardedOf assembles a Sharded store over existing shards (the
-// recovery path: each shard was rebuilt by its own WAL). The caller must
-// SetNext to the recovered global ID frontier; until then the allocator
-// resumes from the highest frontier any shard has seen.
+// NewShardedOf assembles a Sharded store over existing shards; the
+// allocator resumes from the highest frontier any shard has seen.
 func NewShardedOf(shards []*Memory, route func(locus.Location) int) *Sharded {
 	s := newShardedOf(shards, route)
 	next := 0
@@ -110,18 +108,6 @@ func (s *Sharded) ShardFor(loc locus.Location) int {
 // have assigned.
 func (s *Sharded) AllocBlock(n int) int {
 	return int(s.next.Add(int64(n))) - n
-}
-
-// SetNext moves the global allocator to next; used after recovery when
-// journal replay proves IDs beyond any surviving shard frontier were
-// assigned.
-func (s *Sharded) SetNext(next int) {
-	for {
-		cur := s.next.Load()
-		if int64(next) <= cur || s.next.CompareAndSwap(cur, int64(next)) {
-			return
-		}
-	}
 }
 
 // NextID returns the next global ID the allocator will hand out.

@@ -79,8 +79,8 @@ type Memory struct {
 
 	// onAppend hooks are invoked for every stored instance, under the
 	// write lock, in registration order; they must be fast and must not
-	// call back into the store. The WAL records instances here; the
-	// serving rollups maintain their aggregates here.
+	// call back into the store. The serving rollups maintain their
+	// aggregates here.
 	onAppend []func(*event.Instance)
 	// onEvict hooks are invoked after a retention eviction, outside the
 	// lock, with the evicted instances and the cutoff applied.
@@ -126,8 +126,8 @@ func (s *Memory) addLocked(in event.Instance) *event.Instance {
 
 // Put inserts a copy of in at its pre-assigned ID and returns a pointer
 // to the stored instance. IDs are assigned externally (by a Sharded
-// allocator or WAL replay), so a shard's ID sequence may be sparse: a
-// forward gap leaves unassigned slots that behave exactly like
+// allocator or the server's dispatcher), so a shard's ID sequence may be
+// sparse: a forward gap leaves unassigned slots that behave exactly like
 // tombstones. A Put below the current frontier fills the matching empty
 // slot; reusing an occupied ID is an error.
 func (s *Memory) Put(in event.Instance) (*event.Instance, error) {
@@ -486,13 +486,12 @@ func (s *Memory) Span() (first, last time.Time, ok bool) {
 }
 
 // ---------------------------------------------------------------------
-// Dump and restore (snapshot support)
+// Dump
 // ---------------------------------------------------------------------
 
 // Dump returns a copy of every live instance in ID order, together with
 // the ID of the first slot (base) and the ID the next insert will receive
-// (next). base..next−1 spans the live IDs plus any interior tombstones;
-// Restore rebuilds exactly this state.
+// (next). base..next−1 spans the live IDs plus any interior tombstones.
 func (s *Memory) Dump() (base, next int, ins []event.Instance) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -504,54 +503,4 @@ func (s *Memory) Dump() (base, next int, ins []event.Instance) {
 		}
 	}
 	return base, next, ins
-}
-
-// SnapshotTo streams the dumped state without copying it: header runs
-// once with the Dump bounds and live count, then each runs per live
-// instance in ID order, all under one read lock — so the header's count
-// and the instances visited are a single consistent cut even with
-// concurrent writers. The callbacks must not retain or mutate the
-// instances, and must not call back into the store.
-func (s *Memory) SnapshotTo(header func(base, next, count int) error, each func(*event.Instance) error) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if err := header(s.base, s.base+len(s.byID), s.live); err != nil {
-		return err
-	}
-	for _, in := range s.byID {
-		if in != nil {
-			if err := each(in); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Restore rebuilds a dumped state into an empty store: each instance is
-// placed at its recorded ID, interior gaps stay tombstoned, and the next
-// insert receives ID next. It is the snapshot-recovery path; restoring
-// into a non-empty store is an error.
-func (s *Memory) Restore(base, next int, ins []event.Instance) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.byID) != 0 || s.base != 0 {
-		return fmt.Errorf("store: Restore into a non-empty store")
-	}
-	if base < 0 || next < base || len(ins) > next-base {
-		return fmt.Errorf("store: Restore bounds [%d,%d) cannot hold %d instances", base, next, len(ins))
-	}
-	s.base = base
-	s.byID = make([]*event.Instance, next-base)
-	prev := base - 1
-	for _, in := range ins {
-		if in.ID <= prev || in.ID >= next {
-			return fmt.Errorf("store: Restore instance ID %d out of order for bounds [%d,%d)", in.ID, base, next)
-		}
-		prev = in.ID
-		stored := in
-		s.byID[in.ID-base] = &stored
-		s.indexLocked(&stored)
-	}
-	return nil
 }

@@ -1,20 +1,21 @@
 package wal
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"sort"
-	"time"
 
 	"grca/internal/event"
-	"grca/internal/locus"
 	"grca/internal/store"
 )
 
-// Record framing: every record — in segments and in snapshots alike — is
+// Record framing: every record — in a journal file and on a replication
+// stream alike — is
 //
 //	uint32 LE payload length | uint32 LE CRC32C(payload) | payload
 //
@@ -29,11 +30,17 @@ const (
 	maxRecord = 16 << 20
 )
 
+// FrameHeader is the byte length of a record frame's header.
+const FrameHeader = frameHeader
+
+// MaxRecord bounds a single framed record; a streamed length beyond it
+// is treated as corruption, exactly as recovery treats it on disk.
+const MaxRecord = maxRecord
+
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // inlineFrame is the largest payload framed by copying into a reused
-// write buffer; bigger ones are written header-then-payload, and a
-// buffer grown past it is released after use.
+// write buffer; bigger ones are written header-then-payload.
 const inlineFrame = 64 << 10
 
 // frameHeaderOf returns the frame header for payload.
@@ -43,17 +50,17 @@ func frameHeaderOf(payload []byte) (hdr [frameHeader]byte) {
 	return hdr
 }
 
-// appendFrame appends the framed payload to b.
-func appendFrame(b, payload []byte) []byte {
+// AppendFrame appends payload to b under the standard record framing.
+func AppendFrame(b, payload []byte) []byte {
 	hdr := frameHeaderOf(payload)
 	b = append(b, hdr[:]...)
 	return append(b, payload...)
 }
 
-// readFrame decodes one frame at the front of b, returning the payload
+// ReadFrame decodes one frame at the front of b, returning the payload
 // and the remaining bytes. ok is false when b holds no complete, intact
 // frame — the torn-tail signal.
-func readFrame(b []byte) (payload, rest []byte, ok bool) {
+func ReadFrame(b []byte) (payload, rest []byte, ok bool) {
 	if len(b) < frameHeader {
 		return nil, b, false
 	}
@@ -68,55 +75,74 @@ func readFrame(b []byte) (payload, rest []byte, ok bool) {
 	return payload, b[frameHeader+int(n):], true
 }
 
+// FrameReader incrementally decodes record frames from a byte stream —
+// the streaming counterpart of ReadFrame, used by journal replay and the
+// replication client. Next returns io.EOF at a clean frame boundary,
+// ErrTornFrame when the stream ends or corrupts mid-frame, and any other
+// read error as it is.
+type FrameReader struct {
+	br      *bufio.Reader
+	hdr     [frameHeader]byte
+	payload []byte
+}
+
+// ErrTornFrame reports a stream that ended or corrupted inside a frame:
+// a short header, an absurd length, a truncated payload, or a CRC
+// mismatch.
+var ErrTornFrame = fmt.Errorf("wal: torn or corrupt frame")
+
+// NewFrameReader wraps r for incremental frame decoding.
+func NewFrameReader(r io.Reader) *FrameReader {
+	return &FrameReader{br: bufio.NewReaderSize(r, 1<<16)}
+}
+
+// torn maps a short read inside a frame to ErrTornFrame; a real read
+// error passes through, so a failing disk is never mistaken for a torn
+// tail and truncated away.
+func torn(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return ErrTornFrame
+	}
+	return err
+}
+
+// Next returns the next frame's payload. The returned slice is reused
+// by the following call — copy it to retain.
+func (fr *FrameReader) Next() ([]byte, error) {
+	if _, err := io.ReadFull(fr.br, fr.hdr[:1]); err != nil {
+		if err == io.EOF {
+			return nil, io.EOF
+		}
+		return nil, torn(err)
+	}
+	if _, err := io.ReadFull(fr.br, fr.hdr[1:]); err != nil {
+		return nil, torn(err)
+	}
+	n := binary.LittleEndian.Uint32(fr.hdr[0:4])
+	if n > maxRecord {
+		return nil, ErrTornFrame
+	}
+	if cap(fr.payload) < int(n) {
+		fr.payload = make([]byte, n)
+	}
+	fr.payload = fr.payload[:n]
+	if _, err := io.ReadFull(fr.br, fr.payload); err != nil {
+		return nil, torn(err)
+	}
+	if crc32.Checksum(fr.payload, castagnoli) != binary.LittleEndian.Uint32(fr.hdr[4:8]) {
+		return nil, ErrTornFrame
+	}
+	return fr.payload, nil
+}
+
 // appendString appends a uvarint-length-prefixed string.
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
 
-func readString(b []byte) (string, []byte, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || n > uint64(len(b)-sz) {
-		return "", b, fmt.Errorf("wal: truncated string")
-	}
-	return string(b[sz : sz+int(n)]), b[sz+int(n):], nil
-}
-
-// appendRecord encodes one segment record: the instance's store ID
-// followed by the instance body. IDs are explicit because a shard of a
-// sharded store sees a sparse subsequence of the global ID space, so a
-// record's position in its shard's log no longer determines its ID.
-func appendRecord(b []byte, in *event.Instance) []byte {
-	b = binary.AppendUvarint(b, uint64(in.ID))
-	return appendInstance(b, in)
-}
-
-// recordID reads just the leading ID of a segment record — what the
-// recovery frame scan needs to decide skip-or-replay without paying for
-// a full decode.
-func recordID(p []byte) (int, error) {
-	id, sz := binary.Uvarint(p)
-	if sz <= 0 {
-		return 0, fmt.Errorf("wal: truncated record ID")
-	}
-	return int(id), nil
-}
-
-// decodeRecord decodes a segment record into the instance it stores,
-// with its ID set.
-func decodeRecord(p []byte) (event.Instance, error) {
-	id, sz := binary.Uvarint(p)
-	if sz <= 0 {
-		return event.Instance{}, fmt.Errorf("wal: truncated record ID")
-	}
-	in, err := decodeInstance(p[sz:])
-	in.ID = int(id)
-	return in, err
-}
-
-// appendInstance encodes one event instance (without its store ID — the
-// record and snapshot encoders prefix the ID themselves). Attribute keys
-// are sorted so the encoding is deterministic.
+// appendInstance encodes one event instance canonically (without its
+// store ID). Attribute keys are sorted so the encoding is deterministic.
 func appendInstance(b []byte, in *event.Instance) []byte {
 	b = appendString(b, in.Name)
 	b = binary.AppendVarint(b, in.Start.UnixNano())
@@ -139,71 +165,12 @@ func appendInstance(b []byte, in *event.Instance) []byte {
 	return b
 }
 
-func decodeInstance(p []byte) (event.Instance, error) {
-	var in event.Instance
-	var err error
-	if in.Name, p, err = readString(p); err != nil {
-		return in, err
-	}
-	start, sz := binary.Varint(p)
-	if sz <= 0 {
-		return in, fmt.Errorf("wal: truncated start time")
-	}
-	p = p[sz:]
-	end, sz := binary.Varint(p)
-	if sz <= 0 {
-		return in, fmt.Errorf("wal: truncated end time")
-	}
-	p = p[sz:]
-	in.Start = time.Unix(0, start).UTC()
-	in.End = time.Unix(0, end).UTC()
-	if len(p) < 1 {
-		return in, fmt.Errorf("wal: truncated location type")
-	}
-	in.Loc.Type = locus.Type(p[0])
-	p = p[1:]
-	if in.Loc.A, p, err = readString(p); err != nil {
-		return in, err
-	}
-	if in.Loc.B, p, err = readString(p); err != nil {
-		return in, err
-	}
-	nattrs, sz := binary.Uvarint(p)
-	if sz <= 0 || nattrs > uint64(len(p)) {
-		return in, fmt.Errorf("wal: truncated attribute count")
-	}
-	p = p[sz:]
-	if nattrs > 0 {
-		in.Attrs = make(map[string]string, nattrs)
-		for i := uint64(0); i < nattrs; i++ {
-			var k, v string
-			if k, p, err = readString(p); err != nil {
-				return in, err
-			}
-			if v, p, err = readString(p); err != nil {
-				return in, err
-			}
-			in.Attrs[k] = v
-		}
-	}
-	if len(p) != 0 {
-		return in, fmt.Errorf("wal: %d trailing bytes after instance", len(p))
-	}
-	return in, nil
-}
-
-// encodedSize returns the framed on-disk size of one instance record —
-// what Append will write for it. Exposed for tests that compute committed
-// prefixes around byte-level cuts.
-func encodedSize(in *event.Instance) int {
-	return frameHeader + len(appendRecord(nil, in))
-}
-
 // StoreDigest returns a hex SHA-256 over the store's full dumped state —
 // ID bounds plus every live instance in canonical encoding. Two stores
 // with equal digests hold byte-identical event data; it is the
-// equivalence check behind the crash-recovery guarantees. It accepts any
-// Store, so a merged Sharded dump digests comparably to a single Memory.
+// equivalence check behind the crash-recovery and replication
+// guarantees. It accepts any Store, so a merged Sharded dump digests
+// comparably to a single Memory.
 func StoreDigest(st store.Store) string {
 	base, next, ins := st.Dump()
 	h := sha256.New()

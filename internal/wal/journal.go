@@ -1,52 +1,126 @@
+// Package wal is the serving pipeline's durable log: a flat,
+// append-only journal file of CRC32C-framed opaque records, the framing
+// shared with the replication stream, and StoreDigest, the byte-identity
+// check the recovery and replication guarantees are stated in. The
+// paper's platform ran as a shared service continuously fed by many
+// applications (§II); this package is what lets the reproduction survive
+// a restart.
+//
+// The serving pipeline journals raw ingest batches, one journal per
+// shard. The journal is the only durable structure: the collector's
+// parse state (routing simulations, pairing buffers, rolling baselines)
+// is a function of the raw input, so restart recovery replays the
+// journal through a fresh collector, and the store it rebuilds is the
+// store the service runs on. A torn final record (crash mid-write) is
+// truncated, not fatal: the recovered journal is the longest committed
+// prefix of the file.
 package wal
 
 import (
+	"io"
 	"os"
 )
 
-// Journal is a flat append-only file of opaque framed records — the same
-// CRC32C framing as segments, without sequence numbers or snapshots. The
-// serving pipeline journals raw ingest batches here: the event WAL can
-// recover the normalized store byte-for-byte, but the collector's parse
-// state (routing simulations, pairing buffers, rolling baselines) is a
-// function of the raw input, so restart recovery replays this journal
-// through a fresh collector. Appends fsync before returning; an
-// acknowledged batch survives kill -9.
+// Journal is a flat append-only file of framed records. Appends fsync
+// before returning (or per group, with AppendNoSync and Sync); an
+// acknowledged record survives kill -9.
 type Journal struct {
-	f    *os.File
-	path string
-	buf  []byte
+	f   *os.File
+	buf []byte
+}
+
+// JournalReader streams the committed records of one journal file. When
+// it reaches a torn or corrupt frame it truncates the file in place at
+// the end of the last intact frame and reports the end of the journal.
+type JournalReader struct {
+	path      string
+	f         *os.File
+	fr        *FrameReader
+	off       int64 // end of the last intact frame
+	truncated int64
+}
+
+// OpenJournalReader opens the journal at path for replay. A missing file
+// is an empty journal.
+func OpenJournalReader(path string) (*JournalReader, error) {
+	r := &JournalReader{path: path}
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return r, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	r.f, r.fr = f, NewFrameReader(f)
+	return r, nil
+}
+
+// Next returns the next committed record's payload, valid until the
+// following call. At the end of the committed prefix it returns io.EOF,
+// after cutting off any torn tail.
+func (r *JournalReader) Next() ([]byte, error) {
+	if r.f == nil {
+		return nil, io.EOF
+	}
+	p, err := r.fr.Next()
+	switch err {
+	case nil:
+		r.off += int64(frameHeader + len(p))
+		return p, nil
+	case io.EOF:
+		return nil, io.EOF
+	case ErrTornFrame:
+		st, err := r.f.Stat()
+		if err != nil {
+			return nil, err
+		}
+		r.truncated = st.Size() - r.off
+		if err := os.Truncate(r.path, r.off); err != nil {
+			return nil, err
+		}
+		if err := r.Close(); err != nil {
+			return nil, err
+		}
+		return nil, io.EOF
+	default:
+		return nil, err
+	}
+}
+
+// Truncated reports how many torn-tail bytes Next cut off the file.
+func (r *JournalReader) Truncated() int64 { return r.truncated }
+
+// Close releases the file; Next reports io.EOF afterwards.
+func (r *JournalReader) Close() error {
+	if r.f == nil {
+		return nil
+	}
+	err := r.f.Close()
+	r.f = nil
+	return err
 }
 
 // ReplayJournal streams every committed record of the journal at path to
 // fn, truncating a torn tail in place (the longest-committed-prefix
-// contract, as for segments). A missing file is an empty journal.
+// contract). A missing file is an empty journal.
 func ReplayJournal(path string, fn func(payload []byte) error) (truncated int64, err error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return 0, nil
-	}
+	r, err := OpenJournalReader(path)
 	if err != nil {
 		return 0, err
 	}
-	off := int64(0)
-	rest := data
-	for len(rest) > 0 {
-		payload, r2, ok := readFrame(rest)
-		if !ok {
-			truncated = int64(len(rest))
-			if err := os.Truncate(path, off); err != nil {
-				return truncated, err
-			}
-			return truncated, nil
+	defer r.Close() //nolint:errcheck // read side
+	for {
+		p, err := r.Next()
+		if err == io.EOF {
+			return r.Truncated(), nil
 		}
-		if err := fn(payload); err != nil {
+		if err != nil {
+			return r.Truncated(), err
+		}
+		if err := fn(p); err != nil {
 			return 0, err
 		}
-		off += int64(frameHeader + len(payload))
-		rest = r2
 	}
-	return 0, nil
 }
 
 // OpenJournal opens (creating as needed) the journal at path for
@@ -56,11 +130,10 @@ func OpenJournal(path string) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Journal{f: f, path: path}, nil
+	return &Journal{f: f}, nil
 }
 
-// Append frames, writes, and fsyncs one record. This is the serving
-// pipeline's batch commit point.
+// Append frames, writes, and fsyncs one record.
 func (j *Journal) Append(payload []byte) error {
 	if err := j.AppendNoSync(payload); err != nil {
 		return err
@@ -85,7 +158,7 @@ func (j *Journal) AppendNoSync(payload []byte) error {
 		_, err := j.f.Write(payload)
 		return err
 	}
-	j.buf = appendFrame(j.buf[:0], payload)
+	j.buf = AppendFrame(j.buf[:0], payload)
 	_, err := j.f.Write(j.buf)
 	return err
 }

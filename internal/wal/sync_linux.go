@@ -8,8 +8,8 @@ import (
 )
 
 // fileSync forces f's data (and the size metadata needed to read it
-// back) to stable storage. On Linux this is fdatasync: appends to WAL
-// segments and the journal never need the mtime/atime flush a full
+// back) to stable storage. On Linux this is fdatasync: appends to the
+// journal never need the mtime/atime flush a full
 // fsync pays for, and on ext4 that skipped metadata commit is a
 // measurable slice of every group commit.
 func fileSync(f *os.File) error {

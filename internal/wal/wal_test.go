@@ -1,442 +1,225 @@
 package wal
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"testing"
-	"time"
-
-	"grca/internal/event"
-	"grca/internal/locus"
-	"grca/internal/store"
 )
 
-// genEvents builds a deterministic mix of instances: varied names,
-// locations, durations, attribute maps, and mild time disorder — the
-// shapes the collector actually stores.
-func genEvents(seed int64, n int) []event.Instance {
+// genPayloads builds deterministic records of varied sizes, empty and
+// multi-frame-buffer ones included.
+func genPayloads(seed int64, n int) [][]byte {
 	rng := rand.New(rand.NewSource(seed))
-	base := time.Date(2010, 1, 5, 0, 0, 0, 0, time.UTC)
-	names := []string{"BGP neighbor flap", "Interface down", "Link congestion", "syslog:LINK-3-UPDOWN"}
-	out := make([]event.Instance, n)
+	out := make([][]byte, n)
 	for i := range out {
-		start := base.Add(time.Duration(i)*11*time.Second - time.Duration(rng.Intn(20))*time.Second)
-		in := event.Instance{
-			Name:  names[rng.Intn(len(names))],
-			Start: start,
-			End:   start.Add(time.Duration(rng.Intn(600)) * time.Second),
-			Loc:   locus.Between(locus.Interface, fmt.Sprintf("r%d.pop%02d", rng.Intn(6), rng.Intn(3)), fmt.Sprintf("ge-0/0/%d", rng.Intn(4))),
+		size := rng.Intn(300)
+		if i%7 == 3 {
+			size = 0
 		}
-		if rng.Intn(2) == 0 {
-			in.Attrs = map[string]string{
-				"raw":  fmt.Sprintf("line %d", i),
-				"peer": fmt.Sprintf("10.0.%d.%d", rng.Intn(8), rng.Intn(250)),
-			}
-		}
-		out[i] = in
+		p := make([]byte, size)
+		rng.Read(p)
+		out[i] = p
 	}
 	return out
 }
 
-// digestOfPrefix returns the digest of a store holding exactly the first
-// k generated events.
-func digestOfPrefix(ins []event.Instance, k int) string {
-	st := store.New()
-	st.AddAll(ins[:k])
-	return StoreDigest(st)
+// replayAll returns every record ReplayJournal delivers from path.
+func replayAll(t *testing.T, path string) ([][]byte, int64) {
+	t.Helper()
+	var got [][]byte
+	trunc, err := ReplayJournal(path, func(p []byte) error {
+		got = append(got, append([]byte(nil), p...))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, trunc
+}
+
+func samePayloads(a, b [][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !bytes.Equal(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// writeJournal appends payloads to a fresh journal at path, fsyncing per
+// record, and returns the file size after each one.
+func writeJournal(t *testing.T, path string, payloads [][]byte) []int64 {
+	t.Helper()
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := make([]int64, len(payloads))
+	var off int64
+	for i, p := range payloads {
+		if err := j.Append(p); err != nil {
+			t.Fatal(err)
+		}
+		off += int64(frameHeader + len(p))
+		ends[i] = off
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return ends
 }
 
 func TestRoundtripCleanClose(t *testing.T) {
-	dir := t.TempDir()
-	ins := genEvents(1, 500)
-	l, st, rec, err := Open(dir, Options{SegmentBytes: 8 << 10})
-	if err != nil {
-		t.Fatal(err)
+	path := filepath.Join(t.TempDir(), "journal.log")
+	if got, trunc := replayAll(t, path); len(got) != 0 || trunc != 0 {
+		t.Fatalf("missing journal replayed %d records, truncated %d", len(got), trunc)
 	}
-	if rec.SnapshotNext != 0 || rec.Replayed != 0 {
-		t.Fatalf("fresh dir recovered %+v", rec)
+	first := genPayloads(1, 500)
+	writeJournal(t, path, first)
+	got, trunc := replayAll(t, path)
+	if trunc != 0 || !samePayloads(got, first) {
+		t.Fatalf("replayed %d records (truncated %d), want the %d appended", len(got), trunc, len(first))
 	}
-	st.AddAll(ins)
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l2, st2, rec2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if rec2.Replayed != len(ins) {
-		t.Fatalf("replayed %d records, want %d", rec2.Replayed, len(ins))
-	}
-	if got, want := StoreDigest(st2), StoreDigest(st); got != want {
-		t.Fatal("recovered store digest differs from the original")
-	}
-	// Appends continue with the right IDs after recovery.
-	more := genEvents(2, 50)
-	st2.AddAll(more)
-	if err := l2.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, st3, rec3, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec3.Replayed != len(ins)+len(more) {
-		t.Fatalf("second recovery replayed %d, want %d", rec3.Replayed, len(ins)+len(more))
-	}
-	if st3.Len() != len(ins)+len(more) {
-		t.Fatalf("recovered %d events, want %d", st3.Len(), len(ins)+len(more))
+	// Reopening appends after the existing records.
+	more := genPayloads(2, 50)
+	writeJournal(t, path, more)
+	got, _ = replayAll(t, path)
+	if !samePayloads(got, append(append([][]byte(nil), first...), more...)) {
+		t.Fatal("reopened journal did not append after its existing records")
 	}
 }
 
-// TestCrashRecoveryProperty is the torn-write property test: the log is
-// cut at a random byte offset — between records, inside a record body,
-// inside a frame header — and recovery must produce a store
-// byte-identical to the longest committed prefix of records, never an
-// error.
+// TestCrashRecoveryProperty is the torn-write property test: the journal
+// is cut at every byte offset (mid-header, mid-payload, and on frame
+// boundaries) and at a corrupted byte, and replay must deliver exactly
+// the records wholly before the damage, truncate the file to the end of
+// the last of them, and accept appends cleanly afterwards.
 func TestCrashRecoveryProperty(t *testing.T) {
-	ins := genEvents(7, 400)
-	sizes := make([]int, len(ins))
-	total := 0
-	for i := range ins {
-		// Records encode their store ID, so sizes depend on the IDs
-		// AddAll will assign below.
-		ins[i].ID = i
-		sizes[i] = encodedSize(&ins[i])
-		total += sizes[i]
+	dir := t.TempDir()
+	src := filepath.Join(dir, "src.log")
+	payloads := genPayloads(3, 24)
+	ends := writeJournal(t, src, payloads)
+	data, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 25; trial++ {
-		dir := t.TempDir()
-		l, st, _, err := Open(dir, Options{SegmentBytes: 4 << 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.AddAll(ins)
-		if err := l.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		cut := rng.Intn(total + 1)
-		if trial == 0 {
-			cut = total // no damage
-		}
-		crashAt(t, dir, cut)
-
-		// Longest committed prefix: records wholly below the cut.
-		k, cum := 0, 0
-		for k < len(ins) && cum+sizes[k] <= cut {
-			cum += sizes[k]
+	// committed returns how many records end at or before off.
+	committed := func(off int64) int {
+		k := 0
+		for k < len(ends) && ends[k] <= off {
 			k++
 		}
-
-		l2, st2, rec, err := Open(dir, Options{})
-		if err != nil {
-			t.Fatalf("trial %d (cut %d): recovery failed: %v", trial, cut, err)
-		}
-		if got, want := StoreDigest(st2), digestOfPrefix(ins, k); got != want {
-			t.Fatalf("trial %d: cut %d bytes → recovered %d events, digest mismatch vs committed prefix %d",
-				trial, cut, st2.Len(), k)
-		}
-		if cut < total && rec.TruncatedBytes == 0 && k < len(ins) && cut != cumulativeEnd(sizes, k) {
-			t.Fatalf("trial %d: cut %d tore a record but recovery reported no truncation", trial, cut)
-		}
-		// The log must keep working after a torn recovery: append, close,
-		// reopen, and the tail must be there.
-		extra := genEvents(int64(1000+trial), 5)
-		st2.AddAll(extra)
-		if err := l2.Commit(); err != nil {
+		return k
+	}
+	check := func(what string, image []byte, wantK int) {
+		t.Helper()
+		path := filepath.Join(dir, "cut.log")
+		if err := os.WriteFile(path, image, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := l2.Close(); err != nil {
-			t.Fatal(err)
+		got, trunc := replayAll(t, path)
+		if !samePayloads(got, payloads[:wantK]) {
+			t.Fatalf("%s: replayed %d records, want the first %d", what, len(got), wantK)
 		}
-		_, st3, _, err := Open(dir, Options{})
-		if err != nil {
-			t.Fatal(err)
+		wantSize := int64(0)
+		if wantK > 0 {
+			wantSize = ends[wantK-1]
 		}
-		if st3.Len() != k+len(extra) {
-			t.Fatalf("trial %d: post-crash append lost events: %d, want %d", trial, st3.Len(), k+len(extra))
+		if trunc != int64(len(image))-wantSize {
+			t.Fatalf("%s: truncated %d bytes, want %d", what, trunc, int64(len(image))-wantSize)
 		}
+		if st, err := os.Stat(path); err != nil || st.Size() != wantSize {
+			t.Fatalf("%s: file left at %v bytes, want %d", what, st.Size(), wantSize)
+		}
+		// The next append lands right after the committed prefix.
+		writeJournal(t, path, [][]byte{[]byte("next")})
+		got, trunc = replayAll(t, path)
+		if trunc != 0 || len(got) != wantK+1 || string(got[wantK]) != "next" {
+			t.Fatalf("%s: append after truncation replayed %d records (truncated %d)", what, len(got), trunc)
+		}
+	}
+	for cut := 0; cut <= len(data); cut++ {
+		check(fmt.Sprintf("cut at %d/%d", cut, len(data)), data[:cut], committed(int64(cut)))
+	}
+	// A flipped payload byte fails the CRC: replay stops before that
+	// record even though intact records follow it.
+	for k := range payloads {
+		if len(payloads[k]) == 0 {
+			continue
+		}
+		image := append([]byte(nil), data...)
+		image[ends[k]-1] ^= 0xFF
+		check(fmt.Sprintf("corrupt record %d", k), image, k)
 	}
 }
 
-// cumulativeEnd returns the byte offset at which record k ends.
-func cumulativeEnd(sizes []int, k int) int {
-	sum := 0
-	for i := 0; i < k; i++ {
-		sum += sizes[i]
-	}
-	return sum
-}
-
-// crashAt simulates kill -9 at a global byte offset: the segment holding
-// the offset is truncated there and every later segment vanishes, as if
-// the page cache beyond the synced prefix was lost.
-func crashAt(t *testing.T, dir string, cut int) {
-	t.Helper()
-	segs, _, err := listNumbered(walDir(dir), "seg-", ".log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := int64(cut)
-	for _, path := range segs {
-		fi, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch {
-		case off >= fi.Size():
-			off -= fi.Size()
-		case off <= 0:
-			if err := os.Remove(path); err != nil {
-				t.Fatal(err)
-			}
-		default:
-			if err := os.Truncate(path, off); err != nil {
-				t.Fatal(err)
-			}
-			off = 0
-		}
-	}
-}
-
-// TestSnapshotTailReplayDeterminism: with periodic snapshots and
-// commits interleaved, recovery = snapshot + tail replay; the result
-// must be byte-identical to a store that simply held every event (the
-// same equivalence the PR-4 cache-on/off tests pin for diagnosis).
-func TestSnapshotTailReplayDeterminism(t *testing.T) {
+// TestGroupCommitCrashProperty is the crash-point property test for
+// group commit: records are staged with AppendNoSync and made durable
+// per group by one Sync. Whatever byte offset a crash cuts the file at,
+// replay yields a prefix of the appended records that holds every group
+// acknowledged (synced) at or below the cut.
+func TestGroupCommitCrashProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
 	dir := t.TempDir()
-	ins := genEvents(11, 900)
-	l, st, _, err := Open(dir, Options{SegmentBytes: 4 << 10, SnapshotEvery: 120})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < len(ins); i += 30 {
-		end := i + 30
-		if end > len(ins) {
-			end = len(ins)
-		}
-		st.AddAll(ins[i:end])
-		if err := l.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	snaps, _, err := listNumbered(snapDir(dir), "snap-", ".snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) == 0 {
-		t.Fatal("no auto-snapshot was written")
-	}
-	if len(snaps) > 2 {
-		t.Fatalf("%d snapshots retained, want ≤ 2", len(snaps))
-	}
-
-	_, st2, rec, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.SnapshotNext == 0 {
-		t.Fatal("recovery ignored the snapshot")
-	}
-	if rec.Replayed >= len(ins) {
-		t.Fatalf("replayed %d records despite a snapshot at %d", rec.Replayed, rec.SnapshotNext)
-	}
-	if got, want := StoreDigest(st2), digestOfPrefix(ins, len(ins)); got != want {
-		t.Fatal("snapshot+tail recovery is not byte-identical to the full store")
-	}
-}
-
-// TestSnapshotCompactionBoundsDisk: segments fully covered by the older
-// retained snapshot are deleted (the newest snapshot keeps its history
-// around as its own fallback, so compaction trails one snapshot behind).
-func TestSnapshotCompactionBoundsDisk(t *testing.T) {
-	dir := t.TempDir()
-	ins := genEvents(13, 600)
-	l, st, _, err := Open(dir, Options{SegmentBytes: 2 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.AddAll(ins[:500])
-	if err := l.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	before, _, err := listNumbered(walDir(dir), "seg-", ".log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(before) < 3 {
-		t.Fatalf("test needs several segments, got %d", len(before))
-	}
-	st.AddAll(ins[500:])
-	if err := l.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	after, firsts, err := listNumbered(walDir(dir), "seg-", ".log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) >= len(before) {
-		t.Fatalf("second snapshot compacted nothing: %d segments before, %d after", len(before), len(after))
-	}
-	// Everything fully below the older snapshot (next-ID 500) must be
-	// gone: at most one surviving segment may start below it.
-	if len(after) > 1 && firsts[1] <= 500 {
-		t.Fatalf("segment fully below the older snapshot survived: firsts=%v", firsts)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, st2, _, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := StoreDigest(st2), StoreDigest(st); got != want {
-		t.Fatal("compaction changed the recovered state")
-	}
-}
-
-// TestEvictionSnapshotRecovery: retention eviction with snapshots taken
-// only periodically (what grca serve does — nothing snapshots at an
-// eviction) must recover to the evicted store's exact state from every
-// snapshot cut: replay re-runs the window, never resurrecting an evicted
-// event nor evicting a live one.
-func TestEvictionSnapshotRecovery(t *testing.T) {
-	const retention = 30 * time.Minute
-	for _, every := range []int{0, 7, 50} {
-		dir := t.TempDir()
-		opts := Options{SegmentBytes: 4 << 10, SnapshotEvery: every, Retention: retention}
-		l, st, _, err := Open(dir, opts)
+	for trial := 0; trial < 50; trial++ {
+		path := filepath.Join(dir, fmt.Sprintf("group-%d.log", trial))
+		j, err := OpenJournal(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		base := time.Date(2010, 1, 5, 0, 0, 0, 0, time.UTC)
-		for i := 0; i < 300; i++ {
-			at := base.Add(time.Duration(i) * time.Minute)
-			if i%9 == 4 {
-				at = at.Add(-2 * time.Hour) // late: evicted on arrival
-			}
-			st.Add(event.Instance{Name: "tick", Start: at, End: at, Loc: locus.At(locus.Router, "r0")})
-			if i%20 == 19 {
-				if err := l.Commit(); err != nil {
+		payloads := genPayloads(int64(100+trial), 60)
+		var acked []int64 // file size at each group's Sync
+		var ackedRecs []int
+		var size int64
+		for i := 0; i < len(payloads); {
+			n := 1 + rng.Intn(8)
+			for ; n > 0 && i < len(payloads); n-- {
+				if err := j.AppendNoSync(payloads[i]); err != nil {
 					t.Fatal(err)
 				}
+				size += int64(frameHeader + len(payloads[i]))
+				i++
+			}
+			if err := j.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			acked = append(acked, size)
+			ackedRecs = append(ackedRecs, i)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		cut := rng.Int63n(size + 1)
+		if err := os.Truncate(path, cut); err != nil {
+			t.Fatal(err)
+		}
+		got, _ := replayAll(t, path)
+		if !samePayloads(got, payloads[:len(got)]) {
+			t.Fatalf("trial %d: cut %d: replay is not a prefix of the appended records", trial, cut)
+		}
+		for g, at := range acked {
+			if at <= cut && len(got) < ackedRecs[g] {
+				t.Fatalf("trial %d: cut %d ≥ group %d's synced size %d, but only %d of its %d records survived",
+					trial, cut, g, at, len(got), ackedRecs[g])
 			}
 		}
-		if err := l.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		if st.Len() >= 300-300/9 {
-			t.Fatal("retention evicted nothing beyond the late arrivals")
-		}
-		first, last, ok := st.Span()
-		if !ok || last.Sub(first) > retention+retention/4 {
-			t.Fatalf("span %v–%v exceeds retention+slack", first, last)
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-		_, st2, rec, err := Open(dir, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := StoreDigest(st2), StoreDigest(st); got != want {
-			t.Fatalf("SnapshotEvery=%d: recovered store (snapshot at %d, %d replayed) differs from the evicted original",
-				every, rec.SnapshotNext, rec.Replayed)
-		}
 	}
 }
 
-func TestIntervalFsyncCloseFlushes(t *testing.T) {
-	dir := t.TempDir()
-	ins := genEvents(17, 100)
-	l, st, _, err := Open(dir, Options{Fsync: FsyncInterval, FsyncInterval: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.AddAll(ins)
-	// No explicit Commit: Close must flush the pending tail.
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, st2, _, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Len() != len(ins) {
-		t.Fatalf("interval-fsync close lost events: %d, want %d", st2.Len(), len(ins))
-	}
-}
-
-func TestTornSnapshotFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	ins := genEvents(19, 200)
-	l, st, _, err := Open(dir, Options{SegmentBytes: 4 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.AddAll(ins[:150])
-	if err := l.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	st.AddAll(ins[150:])
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the newest snapshot: recovery must fall back (here, to the
-	// segments alone, since only one snapshot exists... the tail after it
-	// is gone with the snapshot's coverage — so assert graceful handling,
-	// not full recovery).
-	snaps, _, err := listNumbered(snapDir(dir), "snap-", ".snap")
-	if err != nil || len(snaps) == 0 {
-		t.Fatalf("snapshots: %v (%d)", err, len(snaps))
-	}
-	data, err := os.ReadFile(snaps[len(snaps)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(snaps[len(snaps)-1], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, st2, rec, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.SnapshotNext != 0 {
-		t.Fatalf("corrupt snapshot was trusted: %+v", rec)
-	}
-	// Compaction only runs when a snapshot succeeds, so the full segment
-	// history is still there and recovery rebuilds everything.
-	if got, want := StoreDigest(st2), StoreDigest(st); got != want {
-		t.Fatal("fallback recovery lost data despite intact segments")
-	}
-}
-
-// TestLargeFramesNotRetained: a journal record or WAL group larger than
-// the inline threshold still frames and replays exactly, but no buffer
-// of its size stays referenced once the write returns.
+// TestLargeFramesNotRetained: a journal record larger than the inline
+// threshold still frames and replays exactly, but no buffer of its size
+// stays referenced once the write returns.
 func TestLargeFramesNotRetained(t *testing.T) {
-	dir := t.TempDir()
-	j, err := OpenJournal(dir + "/journal.log")
+	path := filepath.Join(t.TempDir(), "journal.log")
+	j, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,32 +239,44 @@ func TestLargeFramesNotRetained(t *testing.T) {
 	if cap(j.buf) > inlineFrame+frameHeader {
 		t.Fatalf("journal kept a %d-byte write buffer", cap(j.buf))
 	}
-	var got [][]byte
-	if _, err := ReplayJournal(dir+"/journal.log", func(p []byte) error {
-		got = append(got, append([]byte(nil), p...))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(payloads) || string(got[0]) != "small" || string(got[2]) != "after" || string(got[1]) != string(big) {
+	if got, _ := replayAll(t, path); !samePayloads(got, payloads) {
 		t.Fatalf("replayed %d records, want the %d appended", len(got), len(payloads))
 	}
+}
 
-	l, st, _, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
+// failingReader yields its bytes, then a read error that is not EOF.
+type failingReader struct {
+	data []byte
+	err  error
+}
+
+func (r *failingReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, r.err
 	}
-	defer l.Close()
-	evs := genEvents(3, 5000)
-	st.AddAll(evs) // one group of ~1 MB
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
+	n := copy(p, r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// TestFrameReaderReadErrors: a short stream is a torn frame, but a real
+// read error surfaces as itself — replay must never truncate a journal
+// because the disk failed a read.
+func TestFrameReaderReadErrors(t *testing.T) {
+	frame := AppendFrame(nil, []byte("payload"))
+	if _, err := NewFrameReader(bytes.NewReader(frame[:5])).Next(); err != ErrTornFrame {
+		t.Fatalf("short frame: %v, want ErrTornFrame", err)
 	}
-	st.Add(evs[0])
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
+	boom := errors.New("disk read failed")
+	fr := NewFrameReader(&failingReader{data: frame[:5], err: boom})
+	if _, err := fr.Next(); err != boom {
+		t.Fatalf("read error mid-frame: %v, want it passed through", err)
 	}
-	if cap(l.buf) > inlineFrame {
-		t.Fatalf("log kept a %d-byte buffer after a one-record group", cap(l.buf))
+	fr = NewFrameReader(&failingReader{data: frame, err: io.EOF})
+	if p, err := fr.Next(); err != nil || string(p) != "payload" {
+		t.Fatalf("intact frame: %q, %v", p, err)
+	}
+	if _, err := fr.Next(); err != io.EOF {
+		t.Fatalf("clean end: %v, want io.EOF", err)
 	}
 }

@@ -5,8 +5,9 @@
 #      over HTTP, finalize
 #   3. stream normalized events with grca-load over BOTH ingest
 #      encodings (JSON and the binary wire format), recording each
-#      throughput and the /v1/breakdown latency at a small and a ~10x
-#      larger store (the rollup keeps it flat; the ratio is gated)
+#      throughput and, once ingest has quiesced, the /v1/breakdown
+#      latency at a small and a ~10x larger store (the rollup keeps it
+#      flat; the ratio of the median per-round p99s is gated)
 #   4. exercise the Result Browser: breakdown, trend, drilldown, and one
 #      SSE diagnosis event, failing on non-200 or empty aggregates
 #   5. diagnose, SIGTERM, restart (timed), and assert the event count,
@@ -25,8 +26,8 @@
 #   8. retention: repeat the single-shard load with -retention 6h (feeds
 #      uploaded source by source, then a binary stream walking 25h past
 #      the corpus), gate its events/s at >= MIN_RETENTION_RATIO x the
-#      retention-off single-shard rate, require eviction without
-#      per-eviction snapshots, and byte-compare across a SIGTERM restart
+#      retention-off single-shard rate, require eviction, and
+#      byte-compare across a SIGTERM restart
 #   9. gate events/s per encoding against the committed BENCH_SERVE.json
 #      (>10% regression fails; override with SERVE_SMOKE_MAX_REGRESSION)
 #
@@ -45,8 +46,13 @@ REPLICA_PID=""
 MIN_EPS="${SERVE_SMOKE_MIN_EPS:-20000}"
 # The rollup answers /v1/breakdown from pre-computed counters, so p99
 # must stay roughly flat as the store grows ~10x. The gate is lenient
-# (sub-ms latencies are noisy on shared CI boxes).
+# (sub-ms latencies are noisy on shared CI boxes). Each store size is
+# probed in PROBE_ROUNDS rounds of 300 sequential requests after ingest
+# quiesces, and the gate compares the median of the per-round p99s: the
+# p99 of one round is its 3rd-slowest request, so a single scheduler
+# stall decided a one-round gate.
 MAX_P99_RATIO="${SERVE_SMOKE_MAX_P99_RATIO:-1.5}"
+PROBE_ROUNDS=5
 # Allowed fractional events/s drop per encoding vs the committed report
 # (0.10 = fail on >10% regression). CI runners with unpredictable
 # neighbors relax this and rely on the absolute MIN_EPS floor.
@@ -106,6 +112,14 @@ start_serve() { # start_serve [datadir] [shards] [extra serve flags...]
   SERVE_PID=$!
 }
 
+probe_rounds() { # probe_rounds <label> — PROBE_ROUNDS rounds of breakdown probes, no ingest
+  for k in $(seq 1 "$PROBE_ROUNDS"); do
+    "$WORK/bin/grca-load" -addr "$BASE" -events 0 -probe "$PROBE" -probes 300 \
+      -o "$WORK/probe-$1-$k.json" 2>>"$WORK/probe.log" \
+      || { cat "$WORK/probe.log" >&2; echo "serve_smoke: FAIL — breakdown probe round $k ($1)" >&2; exit 1; }
+  done
+}
+
 stop_serve() { # graceful SIGTERM drain
   kill -TERM "$SERVE_PID"
   wait "$SERVE_PID"
@@ -124,8 +138,9 @@ wait_phase loading
 PROBE="/v1/breakdown?app=bgpflap"
 echo "== loading feeds + streaming 10k events (small-store breakdown probe)"
 "$WORK/bin/grca-load" -addr "$BASE" -bundle "$WORK/corpus" -events 10000 -batch 1000 -c 4 \
-  -probe "$PROBE" -probes 300 -o "$WORK/load-small.json"
+  -o "$WORK/load-small.json"
 wait_phase serving
+probe_rounds small
 
 echo "== streaming 90k more events over JSON ingest"
 "$WORK/bin/grca-load" -addr "$BASE" -events 90000 -batch 1000 -c 4 \
@@ -133,7 +148,8 @@ echo "== streaming 90k more events over JSON ingest"
 
 echo "== streaming 90k more events over binary wire ingest (large-store breakdown probe)"
 "$WORK/bin/grca-load" -addr "$BASE" -events 90000 -batch 1000 -c 4 \
-  -wire binary -probe "$PROBE" -probes 300 -o "$WORK/load-binary.json"
+  -wire binary -o "$WORK/load-binary.json"
+probe_rounds large
 
 echo "== exercising the Result Browser endpoints"
 browse() { # browse <path> <python-expr over parsed json r> <label>
@@ -213,7 +229,7 @@ echo "== restart preserved $EVENTS_AFTER events, identical diagnoses and breakdo
 # ---- replication: live read replica, catch-up, SIGKILL failover ----
 # The primary from the restart phase is still serving; attach a replica
 # to it. (A replica is bound to one primary incarnation: it ships that
-# boot's journals/WALs and must resync if the primary restarts.)
+# boot's journals and must resync if the primary restarts.)
 echo "== attaching a live read replica (-replica-of)"
 "$WORK/bin/grca" serve -addr "$ADDR2" -data-dir "$WORK/data-replica" -bundle "$WORK/corpus" \
   -fsync batch -shards "$SHARDS" -replica-of "$BASE" -replica-poll 5ms &
@@ -364,26 +380,27 @@ fi
 echo "   retention restart preserved $RET_EVENTS_AFTER events, identical diagnoses and breakdown"
 
 # Merge the load runs into one report (the sharded binary run is the
-# headline; its probe run saw the largest store), gate the breakdown
+# headline; the large-store probe rounds followed it), gate the breakdown
 # growth ratio, the absolute events/s floor, the sharded/single-shard
 # speedup (>= 4 cores only), and the per-encoding regression vs the
 # committed baseline (skipped when no baseline was present).
-python3 - "$OUT" "$WORK/load-small.json" "$WORK/load-json.json" "$WORK/load-binary.json" \
+python3 - "$OUT" "$WORK" "$PROBE_ROUNDS" "$WORK/load-json.json" "$WORK/load-binary.json" \
   "$WORK/load-shard1.json" "${BASELINE:-}" "$MAX_P99_RATIO" "$MIN_EPS" "$MAX_REGRESSION" \
   "$RESTART_SECONDS" "$EVENTS_AFTER" "$SHARDS" "$CORES" "$GOMAXPROCS_EFF" "$MIN_SHARD_RATIO" <<'PYEOF'
-import json, sys
-(out, small_path, json_path, bin_path, shard1_path, baseline_path,
+import json, statistics, sys
+(out, work, rounds, json_path, bin_path, shard1_path, baseline_path,
  max_ratio, min_eps, max_reg, restart_s, restart_events,
- shards, cores, gomaxprocs, min_shard_ratio) = sys.argv[1:16]
+ shards, cores, gomaxprocs, min_shard_ratio) = sys.argv[1:17]
 max_ratio, min_eps, max_reg = float(max_ratio), int(min_eps), float(max_reg)
 shards, cores, gomaxprocs = int(shards), int(cores), int(gomaxprocs)
 min_shard_ratio = float(min_shard_ratio)
-small = json.load(open(small_path))
+probes = {size: [json.load(open(f"{work}/probe-{size}-{k}.json")) for k in range(1, int(rounds) + 1)]
+          for size in ("small", "large")}
 jrep = json.load(open(json_path))
 brep = json.load(open(bin_path))
 s1rep = json.load(open(shard1_path))
 
-rep = dict(brep)  # headline = sharded binary wire run (carried the large-store probe)
+rep = dict(brep)  # headline = sharded binary wire run (the large-store probes followed it)
 rep["shards"] = shards
 rep["cores"] = cores
 rep["gomaxprocs"] = gomaxprocs
@@ -392,9 +409,11 @@ rep["events_per_sec_json"] = jrep["events_per_sec"]
 rep["events_per_sec"] = brep["events_per_sec"]
 rep["restart_seconds"] = float(restart_s)
 rep["restart_events"] = int(restart_events)
-rep["breakdown_p99_ms_small_store"] = small["probe_p99_ms"]
-rep["breakdown_p99_ms_large_store"] = rep.pop("probe_p99_ms")
-rep["breakdown_p50_ms_large_store"] = rep.pop("probe_p50_ms")
+p99s = {size: [r["probe_p99_ms"] for r in probes[size]] for size in probes}
+rep["breakdown_p99_ms_rounds"] = p99s
+rep["breakdown_p99_ms_small_store"] = statistics.median(p99s["small"])
+rep["breakdown_p99_ms_large_store"] = statistics.median(p99s["large"])
+rep["breakdown_p50_ms_large_store"] = statistics.median(r["probe_p50_ms"] for r in probes["large"])
 ratio = rep["breakdown_p99_ms_large_store"] / max(rep["breakdown_p99_ms_small_store"], 1e-9)
 rep["breakdown_p99_growth_ratio"] = round(ratio, 3)
 # Both shard rows, verbatim, so the speedup can be re-derived.
@@ -416,7 +435,7 @@ print(f"   scaling: {s1rep['events_per_sec']:.0f} events/s at shards=1 -> "
       f"{brep['events_per_sec']:.0f} events/s at shards={shards} "
       f"({speedup:.2f}x on {cores} cores)")
 print(f"   restart: {rep['restart_events']} events recovered in {rep['restart_seconds']:.2f}s")
-print(f"   breakdown p99: {rep['breakdown_p99_ms_small_store']:.2f}ms small -> "
+print(f"   breakdown p99 (median of {rounds} rounds): {rep['breakdown_p99_ms_small_store']:.2f}ms small -> "
       f"{rep['breakdown_p99_ms_large_store']:.2f}ms large (ratio {ratio:.2f})")
 
 failed = False
@@ -459,8 +478,7 @@ sys.exit(1 if failed else 0)
 PYEOF
 
 # Fold the retention phase into the report and gate it: events/s against
-# the retention-off single-shard run, eviction happened, and snapshots
-# stayed periodic (default -snapshot-every 50000) instead of one per sweep.
+# the retention-off single-shard run, and eviction happened.
 python3 - "$OUT" "$WORK/load-retention.json" "$WORK/load-shard1.json" "$WORK/stats-retention.json" \
   "$RET_RESTART_SECONDS" "$RET_EVENTS_AFTER" "$MIN_RETENTION_RATIO" <<'PYEOF'
 import json, sys
@@ -477,13 +495,13 @@ rep["retention"] = {
     "ingest_p50_ms": ret.get("ingest_p50_ms"), "ingest_p99_ms": ret.get("ingest_p99_ms"),
     "restart_seconds": float(restart_s), "restart_events": int(events),
     "store_adds": c.get("store.adds", 0), "store_evicted": c.get("store.evicted", 0),
-    "store_evictions": c.get("store.evictions", 0), "wal_snapshots": c.get("wal.snapshots", 0),
+    "store_evictions": c.get("store.evictions", 0),
 }
 json.dump(rep, open(out, "w"), indent=2)
 open(out, "a").write("\n")
 r = rep["retention"]
 print(f"   retention: {r['events_per_sec']:.0f} events/s ({ratio:.2f}x retention-off), "
-      f"{r['store_evicted']} evicted in {r['store_evictions']} sweeps, {r['wal_snapshots']} snapshots, "
+      f"{r['store_evicted']} evicted in {r['store_evictions']} sweeps, "
       f"restart {r['restart_seconds']:.2f}s")
 failed = False
 if ratio < float(min_ratio):
@@ -491,10 +509,6 @@ if ratio < float(min_ratio):
     failed = True
 if r["store_evicted"] == 0:
     print("serve_smoke: FAIL — the retention phase evicted nothing", file=sys.stderr)
-    failed = True
-if r["wal_snapshots"] > r["store_adds"] // 50000 + 1:
-    print(f"serve_smoke: FAIL — {r['wal_snapshots']} snapshots for {r['store_adds']} adds: snapshots are not periodic-only",
-          file=sys.stderr)
     failed = True
 sys.exit(1 if failed else 0)
 PYEOF
